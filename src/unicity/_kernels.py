@@ -1,13 +1,12 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""The Metropolis sweep kernel, JIT-compiled with numba when available.
 
-Every kernel has two implementations: a numba ``@njit`` version and a
+The kernel has two implementations: a numba ``@njit`` version and a
 pure-numpy fallback. The fallback is selected when numba cannot be
 imported or when the environment variable ``UNICITY_NO_NUMBA`` is set to
-a truthy value (``1``/``true``/``yes``). Integer kernels produce
-bit-identical results on both paths; floating-point kernels agree to
-rounding (summation order differs), so cross-path comparisons should be
-approximate. ``benchmarks/bench_kernels.py`` times the two paths against
-each other.
+a truthy value (``1``/``true``/``yes``). Scores agree to rounding
+across the two paths (summation order differs), so cross-path
+comparisons should be approximate. numba is an optional dependency
+(the ``jit`` extra).
 """
 
 from __future__ import annotations
@@ -30,16 +29,6 @@ try:
     HAVE_NUMBA = True
 except ImportError:
     HAVE_NUMBA = False
-
-
-def _apply_keys_encode_np(perms: np.ndarray, msgs: np.ndarray, g: int) -> np.ndarray:
-    """Map every message through every symbol permutation and encode the
-    results as base-g integers. perms: (K, G), msgs: (M, N) -> (K, M)."""
-    out = np.zeros((perms.shape[0], msgs.shape[0]), dtype=np.int64)
-    for j in range(msgs.shape[1]):
-        out *= g
-        out += perms[:, msgs[:, j]]
-    return out
 
 
 def _mcmc_sweep_np(
@@ -143,24 +132,8 @@ def _mcmc_sweep_jit_impl(
     return best, best_score, trace
 
 
-def _apply_keys_encode_jit_impl(perms, msgs, g):
-    k_count = perms.shape[0]
-    m_count, n = msgs.shape
-    out = np.empty((k_count, m_count), dtype=np.int64)
-    for k in range(k_count):
-        for m in range(m_count):
-            code = 0
-            for j in range(n):
-                code = code * g + perms[k, msgs[m, j]]
-            out[k, m] = code
-    return out
-
-
 if HAVE_NUMBA:
-    _apply_keys_encode_jit = njit(cache=True, nogil=True)(_apply_keys_encode_jit_impl)
     _mcmc_sweep_jit = njit(cache=True, nogil=True)(_mcmc_sweep_jit_impl)
-    apply_keys_encode = _apply_keys_encode_jit
     mcmc_sweep = _mcmc_sweep_jit
 else:
-    apply_keys_encode = _apply_keys_encode_np
     mcmc_sweep = _mcmc_sweep_np

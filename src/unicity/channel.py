@@ -1,10 +1,11 @@
 """Encryption viewed as a discrete channel with the key as noise.
 
-For toy languages the exact joint distribution over (plaintext,
-ciphertext) is built by enumerating every (message, key) pair, which
-lets both chain-rule decompositions of the mutual information be
-evaluated independently and compared against the idealized straight
-line N*R0 - H(K).
+For toy languages the exact mutual information follows from the key
+group's orbits: under a uniform key, the ciphertext of a message is
+uniform on the message's orbit, so I(P;C) is the entropy of the orbit
+class of P. Both chain-rule decompositions are evaluated separately
+from the class counts and orbit sizes and compared against the
+idealized straight line N*R0 - H(K).
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import apply_keys_encode
-from .cipher import KeySpace, SubstitutionKey
+from .cipher import KeySpace
 from .lang import absolute_rate
 from .spurious import ToyLanguage, unicity_distance
-
-DEFAULT_PAIR_CAP = 10_000_000
-
-
-class PairCapError(RuntimeError):
-    """Too many (message, key) pairs to enumerate exactly."""
 
 
 class TheoreticalMI(NamedTuple):
@@ -73,127 +67,26 @@ def reliability_check(
     return Reliability(reliable=reliable, min_length=min_length)
 
 
-@dataclass(frozen=True, eq=False)
-class EncryptionChannelInstance:
-    """Exact joint distribution over (plaintext, ciphertext).
+def mutual_information(language: ToyLanguage, space: KeySpace) -> tuple[float, float]:
+    """I(P;C) for a uniform member of the language under a uniform key,
+    by both chain-rule decompositions: H(P) - H(P|C) and H(C) - H(C|P).
 
-    Stored sparsely: parallel arrays of message index, ciphertext code,
-    and pair multiplicity; every (message, key) pair carries probability
-    1 / (set size * key count).
+    C given P = m is uniform on m's orbit O, of size K/|Stab(m)|. Given
+    C in O, P is uniform over the n_O members in O, so I_A needs only the
+    class counts. I_B sums over ciphertexts, each point of O having
+    probability n_O/(M*|O|), and takes H(C|P) per message, so it also
+    needs the orbit sizes; they stay in the log domain.
     """
-
-    language: ToyLanguage
-    key_count: int
-    msg_index: np.ndarray
-    cipher_code: np.ndarray
-    pair_count: np.ndarray
-
-    @property
-    def total_pairs(self) -> int:
-        return self.language.size * self.key_count
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.pair_count / self.total_pairs
-
-    def entropy_plaintext(self) -> float:
-        p = _group_sums(self.probs, self.msg_index)
-        return _entropy_bits(p)
-
-    def entropy_ciphertext(self) -> float:
-        order = np.argsort(self.cipher_code, kind="stable")
-        p = _group_sums(self.probs[order], self.cipher_code[order])
-        return _entropy_bits(p)
-
-    def mutual_information(self) -> tuple[float, float]:
-        """Both chain-rule decompositions, computed separately:
-        H(P) - H(P|C) and H(C) - H(C|P)."""
-        probs = self.probs
-
-        # decomposition A, grouped by ciphertext
-        order = np.argsort(self.cipher_code, kind="stable")
-        p_sorted = probs[order]
-        p_c_per_entry = _group_totals_per_entry(p_sorted, self.cipher_code[order])
-        h_p_given_c = float(-(p_sorted * np.log2(p_sorted / p_c_per_entry)).sum())
-        i_a = self.entropy_plaintext() - h_p_given_c
-
-        # decomposition B, grouped by plaintext (entries already sorted)
-        p_m_per_entry = _group_totals_per_entry(probs, self.msg_index)
-        h_c_given_p = float(-(probs * np.log2(probs / p_m_per_entry)).sum())
-        i_b = self.entropy_ciphertext() - h_c_given_p
-        return i_a, i_b
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
-
-
-def _group_sums(values: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
-    """Per-group sums of values; group_ids must be pre-sorted."""
-    if values.size == 0:
-        return values
-    starts = np.flatnonzero(np.r_[True, group_ids[1:] != group_ids[:-1]])
-    return np.add.reduceat(values, starts)
-
-
-def _group_totals_per_entry(values: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
-    """Each entry's group total, broadcast back to entry order."""
-    starts = np.flatnonzero(np.r_[True, group_ids[1:] != group_ids[:-1]])
-    sums = np.add.reduceat(values, starts)
-    lengths = np.diff(np.r_[starts, values.size])
-    return np.repeat(sums, lengths)
-
-
-def empirical_mutual_information(
-    instance: EncryptionChannelInstance,
-) -> tuple[float, float]:
-    """Both chain-rule decompositions of I(plaintext; ciphertext) from
-    the exact joint; mathematically equal, computed separately."""
-    return instance.mutual_information()
-
-
-def build_joint_distribution(
-    language: ToyLanguage,
-    space: KeySpace,
-    keys: list[SubstitutionKey] | None = None,
-    cap: int = DEFAULT_PAIR_CAP,
-) -> EncryptionChannelInstance:
-    """Enumerate all (message, key) pairs with equal probability and
-    accumulate the exact joint. `keys` overrides full enumeration (used
-    for restricted key sets and partitioned builds)."""
-    if keys is None:
-        pairs = language.size * space.key_count
-        if pairs > cap:
-            raise PairCapError(
-                f"{pairs} (message, key) pairs exceeds cap {cap}; "
-                "use Monte Carlo estimation instead"
-            )
-        perms = space.mappings_array(cap)
-    else:
-        if not keys:
-            raise ValueError("keys must be nonempty")
-        perms = np.stack([k.mapping for k in keys]).astype(np.int64)
-        if language.size * perms.shape[0] > cap:
-            raise PairCapError("too many (message, key) pairs")
-    g = language.alphabet.size
-    codes = apply_keys_encode(perms, language.messages, g)  # (K, M)
-    k_count, m_count = codes.shape
-    m_idx = np.broadcast_to(np.arange(m_count, dtype=np.int64), codes.shape).ravel()
-    c_flat = codes.ravel()
-    order = np.lexsort((c_flat, m_idx))
-    m_sorted = m_idx[order]
-    c_sorted = c_flat[order]
-    new_group = np.r_[True, (m_sorted[1:] != m_sorted[:-1]) | (c_sorted[1:] != c_sorted[:-1])]
-    starts = np.flatnonzero(new_group)
-    counts = np.diff(np.r_[starts, c_sorted.size])
-    return EncryptionChannelInstance(
-        language=language,
-        key_count=k_count,
-        msg_index=m_sorted[starts],
-        cipher_code=c_sorted[starts],
-        pair_count=counts.astype(np.int64),
-    )
+    m = language.size
+    labels, stab = space.orbit_classes(language.messages)
+    _, first, n_o = np.unique(labels, return_index=True, return_counts=True)
+    log2_orbit = space.key_entropy_bits - np.log2(stab.astype(np.float64))
+    class_p = n_o / m
+    h_p = math.log2(m)
+    i_a = h_p - float(class_p @ np.log2(n_o))
+    h_c = float(class_p @ (h_p + log2_orbit[first] - np.log2(n_o)))
+    i_b = h_c - float(log2_orbit.mean())
+    return i_a, i_b
 
 
 @dataclass(frozen=True)
@@ -210,16 +103,14 @@ class ChannelReport:
     min_reliable_length: float
 
 
-def channel_report(language: ToyLanguage, space: KeySpace,
-                   cap: int = DEFAULT_PAIR_CAP) -> ChannelReport:
-    """Build the exact joint for one toy instance and compare both
-    empirical decompositions against the idealized value."""
+def channel_report(language: ToyLanguage, space: KeySpace) -> ChannelReport:
+    """Exact mutual information of one toy instance, by both
+    decompositions, against the idealized value."""
     r0 = absolute_rate(language.alphabet)
     r = language.rate
     h_k = space.key_entropy_bits
     n = language.length
-    instance = build_joint_distribution(language, space, cap=cap)
-    i_a, i_b = instance.mutual_information()
+    i_a, i_b = mutual_information(language, space)
     theo = theoretical_mutual_information(n, r0, h_k)
     rel = reliability_check(n, r, r0, h_k)
     return ChannelReport(

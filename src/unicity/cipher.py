@@ -3,7 +3,8 @@
 A key is a permutation of alphabet indices mapping plaintext symbol to
 ciphertext symbol. Key spaces carry exact key counts and key entropy
 under the uniform prior; small spaces can be enumerated exhaustively in
-lexicographic order.
+lexicographic order. Each key family is a group (S_G or Z_G) acting on
+messages, and `KeySpace.orbit_classes` describes its orbits.
 """
 
 from __future__ import annotations
@@ -144,9 +145,37 @@ class KeySpace:
         for mapping in self.enumerate_mappings(cap):
             yield SubstitutionKey(np.array(mapping, dtype=np.int64))
 
-    def mappings_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-        """(K, G) int64 array of all mappings in enumeration order."""
-        return np.array(list(self.enumerate_mappings(cap)), dtype=np.int64)
+    def orbit_classes(self, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Orbit label and stabilizer size of each (M, N) message row.
+
+        The keys form a group acting on messages letter by letter, so a
+        uniform key sends a message uniformly over its orbit and reaches
+        each point |Stab| times. Two rows share a label iff some key maps
+        one onto the other. Substitution: the label is the equality
+        pattern (each letter replaced by the rank of its first
+        occurrence) and |Stab| = (G - k)! for k distinct letters. Shift:
+        the label is the row minus its first letter, mod G, and
+        |Stab| = 1. Labels are base-G codes; stabilizer sizes are exact
+        Python ints in an object array, since (G - 1)! overflows int64
+        from G = 22.
+        """
+        g = self.alphabet.size
+        rows = _check_codes(messages, g)
+        n = rows.shape[1]
+        if self.kind == SHIFT:
+            pattern = (rows - rows[:, :1]) % g
+            stab = np.ones(rows.shape[0], dtype=object)
+        else:
+            # first[m, j]: where row m first holds the letter at its position j
+            first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=1)
+            is_new = first == np.arange(n)
+            rank = np.cumsum(is_new, axis=1) - 1
+            pattern = np.take_along_axis(rank, first, axis=1)
+            free = np.array([math.factorial(g - k) for k in range(min(n, g) + 1)],
+                            dtype=object)
+            stab = free[is_new.sum(axis=1)]
+        labels = pattern @ (g ** np.arange(n - 1, -1, -1, dtype=np.int64))
+        return labels, stab
 
 
 def key_entropy(space: KeySpace) -> float:

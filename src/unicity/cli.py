@@ -25,8 +25,9 @@ import numpy as np
 
 from . import __version__
 from .attack import AttackConfig, mcmc_crack, recovery_curve
-from .channel import PairCapError, channel_report
+from .channel import channel_report
 from .cipher import (
+    DEFAULT_ENUMERATION_CAP,
     SHIFT,
     SUBSTITUTION,
     EnumerationCapError,
@@ -84,9 +85,13 @@ def _alphabet_from_cfg(cfg: dict) -> Alphabet:
 
 
 def _parse_lengths(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(tok) for tok in str(value).split(",") if tok.strip()]
+    tokens = value if isinstance(value, (list, tuple)) else [
+        tok for tok in str(value).split(",") if tok.strip()
+    ]
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise UsageError(f"lengths must be comma-separated integers, got {value!r}") from None
 
 
 def _derived_seed(*parts) -> int:
@@ -175,9 +180,32 @@ def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    if int(cfg["workers"]) < 1:
+        raise UsageError(f"workers must be >= 1, got {cfg['workers']}")
     if randomized and cfg["seed"] is None:
         cfg["seed"] = secrets.randbits(32)
     return cfg
+
+
+def _true_key(cfg: dict, alphabet: Alphabet) -> SubstitutionKey | None:
+    """The known key for crack mode, from --true-key or --true-key-file."""
+    try:
+        if cfg["true_key"]:
+            key = SubstitutionKey.from_string(cfg["true_key"], alphabet)
+        elif cfg["true_key_file"]:
+            keys = read_keys(_find_corpus(cfg["true_key_file"]), alphabet)
+            if len(keys) != 1:
+                raise UsageError("key file must hold exactly one key for crack mode")
+            key = keys[0]
+        else:
+            return None
+    except ValueError as exc:
+        raise UsageError(f"invalid true key: {exc}") from None
+    if key.size != alphabet.size:
+        raise UsageError(
+            f"true key has {key.size} letters but the alphabet has {alphabet.size}"
+        )
+    return key
 
 
 # ---------------------------------------------------------------- commands
@@ -243,6 +271,8 @@ def cmd_unicity(args) -> tuple[dict, str]:
         "n_step": 1,
     }
     cfg = _resolve(args, defaults, randomized=False)
+    if int(cfg["n_step"]) < 1:
+        raise UsageError(f"n-step must be >= 1, got {cfg['n_step']}")
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
     if cfg["redundancy"] is not None:
@@ -311,6 +341,8 @@ def cmd_spurious(args) -> tuple[dict, str]:
     r0 = absolute_rate(alphabet)
     seed = int(cfg["seed"])
     constructions = int(cfg["constructions"])
+    if constructions < 1:
+        raise UsageError(f"constructions must be >= 1, got {constructions}")
     header = [
         "N",
         "H_K_bits",
@@ -332,7 +364,7 @@ def cmd_spurious(args) -> tuple[dict, str]:
             )
             d = r0 - toy.rate
             if cfg["mode"] == "exhaustive":
-                if space.key_count > 10_000_000:
+                if space.key_count > DEFAULT_ENUMERATION_CAP:
                     raise ExperimentError(
                         f"{space.key_count} keys exceeds the enumeration cap; "
                         "rerun with --mode monte-carlo"
@@ -469,15 +501,7 @@ def cmd_attack(args) -> tuple[dict, str]:
             cipher_codes = alphabet.encode(normalize_text(raw, alphabet))
         except EmptyTextError:
             raise UsageError("ciphertext has no alphabet symbols") from None
-        if cfg["true_key"]:
-            true_key = SubstitutionKey.from_string(cfg["true_key"], alphabet)
-        elif cfg["true_key_file"]:
-            keys = read_keys(_find_corpus(cfg["true_key_file"]), alphabet)
-            if len(keys) != 1:
-                raise UsageError("key file must hold exactly one key for crack mode")
-            true_key = keys[0]
-        else:
-            true_key = None
+        true_key = _true_key(cfg, alphabet)
         result = mcmc_crack(cipher_codes, config, true_key)
         header = ["checkpoint", "best_score_bits"]
         rows = [[i, v] for i, v in enumerate(result.score_trace.tolist())]
@@ -674,7 +698,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExperimentError, EnumerationCapError, PairCapError) as exc:
+    except (ExperimentError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -3,12 +3,16 @@
 Provides the random-cipher estimate (2**H(K) - 1) * 2**(-N*D) of the
 expected spurious-key count (Shannon 1949; Hellman 1977) and the bound
 N >= H(K)/D. Builds small synthetic languages with an explicit uniform
-set of meaningful messages, so that spurious keys can be counted by
-exhaustive enumeration and checked against the exact combinatorial
-expectation for the cipher at hand. For substitution ciphers the two
-differ: a wrong key that agrees with the true key on every letter of
-the message decrypts it to the message itself, so it is always
-spurious. Monte Carlo estimation covers spaces too large to enumerate.
+set of meaningful messages, so that spurious keys can be counted exactly
+and checked against the exact combinatorial expectation for the cipher
+at hand. For substitution ciphers the two differ: a wrong key that
+agrees with the true key on every letter of the message decrypts it to
+the message itself, so it is always spurious.
+
+Exact counts for a toy language come from the orbits of the key group
+(`KeySpace.orbit_classes`), without enumerating keys. A general
+recognizer, such as a likelihood threshold, is counted by enumerating
+every key; Monte Carlo estimation covers spaces too large for that.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import apply_keys_encode
 from .cipher import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -244,7 +247,6 @@ def count_spurious_keys(
         raise EnumerationCapError(
             f"{space.key_count} keys exceeds cap {cap}; use monte_carlo_spurious"
         )
-    g = space.alphabet.size
     true_row = np.asarray(true_key.mapping)
     count = 0
     mappings = space.enumerate_mappings(cap)
@@ -274,26 +276,21 @@ def _take(iterator, n):
 def exhaustive_spurious_counts(
     space: KeySpace, language: ToyLanguage, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> np.ndarray:
-    """Spurious-key count for every (true key, plaintext) pair.
+    """Spurious-key count of every member message, whatever the true key.
 
-    Returns a (key_count, set size) integer matrix: entry [k, m] is the
-    number of wrong keys that decrypt encrypt(key k, message m) to some
-    member of the language.
+    Decrypting encrypt(k, m) under a wrong key j applies the key j^-1 k
+    to m, which runs over every non-identity key as j does. A key maps m
+    onto a member for |L & O(m)| * |Stab(m)| keys, the identity included,
+    so entry m of the returned int64 vector (in language order) is that
+    product minus one. Raises EnumerationCapError above `cap` keys.
     """
-    g = space.alphabet.size
-    perms = space.mappings_array(cap)
-    k_count = perms.shape[0]
-    inv = np.argsort(perms, axis=1)
-    msgs = language.messages
-    out = np.empty((k_count, language.size), dtype=np.int64)
-    for k in range(k_count):
-        # candidate plaintext under key j is inv_j applied to perm_k(m)
-        composed = inv[:, perms[k]]
-        codes = apply_keys_encode(composed, msgs, g)
-        accepted = language.contains_codes(codes)
-        # row k is the composition with itself: identity, always accepted
-        out[k] = accepted.sum(axis=0) - 1
-    return out
+    if space.key_count > cap:
+        raise EnumerationCapError(
+            f"{space.key_count} keys exceeds cap {cap}; use monte_carlo_spurious"
+        )
+    labels, stab = space.orbit_classes(language.messages)
+    _, inverse, class_size = np.unique(labels, return_inverse=True, return_counts=True)
+    return (class_size[inverse] * stab - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ from unicity import (
     Alphabet,
     AttackConfig,
     KeySpace,
-    build_joint_distribution,
     build_toy_language,
     decrypt,
     encrypt,
     exhaustive_spurious_counts,
     expected_spurious_keys,
     fit_ngram,
+    mutual_information,
     recovery_curve,
     redundancy,
     reliability_check,
@@ -31,6 +31,7 @@ from unicity import (
 )
 from unicity.cli import main as cli_main
 
+from brute_force import dense_joint_oracle, mi_from_dense
 from conftest import CORPUS_PATH
 
 
@@ -123,11 +124,13 @@ def test_criterion_2_spurious_key_point_estimate():
 
 
 def test_criterion_3_mi_decomposition_equality():
-    """Both chain-rule decompositions agree on every exhaustively
-    enumerated instance with G <= 4, N <= 3; one-time-pad instances have
-    zero mutual information."""
+    """Both chain-rule decompositions agree with each other and with a
+    dense enumeration of every (message, key) pair on every instance
+    with G <= 4, N <= 3; one-time-pad instances have zero mutual
+    information."""
     t0 = time.perf_counter()
     worst_gap = 0.0
+    worst_oracle_gap = 0.0
     worst_otp = 0.0
     instances = 0
     for g in (2, 3, 4):
@@ -141,18 +144,26 @@ def test_criterion_3_mi_decomposition_equality():
                 rate = math.log2(m) / n
                 toy = build_toy_language(ab, n, rate, seed=seed)
                 assert toy.size == m
-                inst = build_joint_distribution(toy, KeySpace(kind, ab))
-                i_a, i_b = inst.mutual_information()
+                space = KeySpace(kind, ab)
+                i_a, i_b = mutual_information(toy, space)
+                oracle = mi_from_dense(dense_joint_oracle(toy, list(space.enumerate_keys())))
                 worst_gap = max(worst_gap, abs(i_a - i_b))
+                worst_oracle_gap = max(worst_oracle_gap, abs(i_a - oracle), abs(i_b - oracle))
                 instances += 1
                 if n == 1 and m == total:
                     worst_otp = max(worst_otp, abs(i_a), abs(i_b))
     elapsed = time.perf_counter() - t0
-    ok = worst_gap <= 1e-9 and worst_otp <= 1e-9 and elapsed < 5.0
+    ok = (
+        worst_gap <= 1e-9
+        and worst_oracle_gap <= 1e-9
+        and worst_otp <= 1e-9
+        and elapsed < 5.0
+    )
     check(
         3,
         ok,
         f"{instances} instances, max |I_A - I_B|={worst_gap:.2e}, "
+        f"max |I - dense oracle|={worst_oracle_gap:.2e}, "
         f"max one-time-pad I={worst_otp:.2e}, runtime={elapsed:.2f} s",
     )
 

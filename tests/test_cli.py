@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from unicity.cli import main
 
@@ -266,6 +267,16 @@ class TestChannel:
         )
         assert code == 1
 
+    def test_large_alphabet_without_key_enumeration(self, capsys):
+        """262,144 messages under 26! keys: exact MI from orbit classes."""
+        code, out, _ = run_cli(
+            capsys, "channel", "--alphabet-size", "26", "--lengths", "6",
+            "--rate", "3.0", "--seed", "1", "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)["results"]["rows"]
+        assert abs(row["I_empA"] - row["I_empB"]) <= 1e-9
+
 
 class TestAttack:
     def test_crack_known_key(self, capsys, latin, english_split):
@@ -443,3 +454,31 @@ class TestConfigHandling:
             )
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spurious", "--constructions", "0"],
+        ["unicity", "--redundancy", "3.2", "--n-step", "0"],
+        ["channel", "--lengths", "a,b"],
+        ["spurious", "--length", "3,x"],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH),
+         "--ciphertext", "QEB NRFZH", "--true-key", "ABC"],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH),
+         "--ciphertext", "QEB NRFZH", "--true-key", "A" * 26],
+        ["channel", "--lengths", "1", "--workers", "0"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--workers", "-3"],
+    ],
+    ids=[
+        "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
+        "short-true-key", "true-key-not-permutation", "workers-0", "workers-negative",
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err

@@ -3,24 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from unicity._kernels import (
-    HAVE_NUMBA,
-    _apply_keys_encode_np,
-    _mcmc_sweep_np,
-    apply_keys_encode,
-    mcmc_sweep,
-)
-
-
-def apply_keys_oracle(perms, msgs, g):
-    out = np.empty((len(perms), len(msgs)), dtype=np.int64)
-    for k, perm in enumerate(perms):
-        for m, msg in enumerate(msgs):
-            code = 0
-            for sym in msg:
-                code = code * g + int(perm[int(sym)])
-            out[k, m] = code
-    return out
+from unicity._kernels import HAVE_NUMBA, _mcmc_sweep_np, mcmc_sweep
 
 
 def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
@@ -65,28 +48,6 @@ def _random_case(seed, g=5, u=12, order=2, iters=200):
     pair_b = raw_b + (raw_b >= pair_a)
     log2_u = np.log2(rng.random(size=iters))
     return wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u
-
-
-class TestApplyKeysEncode:
-    def test_numpy_path_matches_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            g = int(rng.integers(2, 7))
-            perms = np.stack([rng.permutation(g) for _ in range(5)]).astype(np.int64)
-            msgs = rng.integers(0, g, size=(7, 4)).astype(np.int64)
-            got = _apply_keys_encode_np(perms, msgs, g)
-            assert np.array_equal(got, apply_keys_oracle(perms, msgs, g))
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba path not active")
-    def test_jit_matches_numpy_exactly(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            g = int(rng.integers(2, 9))
-            perms = np.stack([rng.permutation(g) for _ in range(6)]).astype(np.int64)
-            msgs = rng.integers(0, g, size=(11, 3)).astype(np.int64)
-            assert np.array_equal(
-                apply_keys_encode(perms, msgs, g), _apply_keys_encode_np(perms, msgs, g)
-            )
 
 
 class TestMcmcSweep:

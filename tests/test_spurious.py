@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from brute_force import key_tuples, small_instances, spurious_count
 from unicity import (
     SUBSTITUTION,
     Alphabet,
@@ -14,7 +15,6 @@ from unicity import (
     LikelihoodRecognizer,
     build_toy_language,
     count_spurious_keys,
-    decrypt,
     encrypt,
     exhaustive_spurious_counts,
     expected_spurious_keys,
@@ -206,34 +206,29 @@ class TestCountSpurious:
         assert (exhaustive_spurious_counts(space, toy) == 23).all()
 
     def test_matrix_matches_pure_python_oracle(self):
-        """Full cross-check of the vectorized enumeration against a
-        from-scratch loop using only the public cipher API."""
-        _, space, toy = self._setup(seed=7)
-        rec = ExactSetRecognizer(toy)
-        got = exhaustive_spurious_counts(space, toy)
-        keys = list(space.enumerate_keys())
-        member_set = {tuple(m.tolist()) for m in toy.messages}
-        for ki, key in enumerate(keys):
-            for mi, msg in enumerate(toy.messages):
-                cipher = encrypt(key, msg)
-                brute = sum(
-                    1
-                    for cand in keys
-                    if cand != key and tuple(decrypt(cand, cipher).tolist()) in member_set
-                )
-                assert got[ki, mi] == brute
+        """The orbit counts against a from-scratch count for every true
+        key, G <= 4, N <= 3, both ciphers: each entry equals the brute
+        count whichever key encrypted the message."""
+        for space, toy in small_instances(seed=7):
+            got = exhaustive_spurious_counts(space, toy)
+            assert got.dtype == np.int64 and got.shape == (toy.size,)
+            keys = key_tuples(space.kind, space.alphabet.size)
+            members = {tuple(m.tolist()) for m in toy.messages}
+            for key in keys:
+                for mi, msg in enumerate(toy.messages.tolist()):
+                    assert got[mi] == spurious_count(keys, members, key, msg)
 
     def test_count_matches_matrix_entries(self):
         _, space, toy = self._setup(seed=8)
         rec = ExactSetRecognizer(toy)
-        matrix = exhaustive_spurious_counts(space, toy)
+        counts = exhaustive_spurious_counts(space, toy)
         keys = list(space.enumerate_keys())
         rng = np.random.default_rng(3)
         for _ in range(12):
             ki = int(rng.integers(len(keys)))
             mi = int(rng.integers(toy.size))
             cipher = encrypt(keys[ki], toy.messages[mi])
-            assert count_spurious_keys(space, rec, cipher, keys[ki]) == matrix[ki, mi]
+            assert count_spurious_keys(space, rec, cipher, keys[ki]) == counts[mi]
 
     def test_cap_exceeded(self, latin):
         space = KeySpace(SUBSTITUTION, latin)
@@ -241,6 +236,8 @@ class TestCountSpurious:
         rec = ExactSetRecognizer(toy)
         with pytest.raises(EnumerationCapError):
             count_spurious_keys(space, rec, np.array([0, 1, 2]), space.sample(np.random.default_rng(0)))
+        with pytest.raises(EnumerationCapError):
+            exhaustive_spurious_counts(KeySpace(SUBSTITUTION, Alphabet.first_n(4)), toy, cap=23)
 
     def test_grand_mean_matches_combinatorial_expectation(self):
         """Independent oracle for the exhaustive counter: under uniform
