@@ -4,20 +4,18 @@ The walker scores candidate decryptions with an n-gram model (bigram by
 default), proposes random transpositions of the current key, and keeps
 the best key seen. Runs are deterministic given the seed: all proposal
 randomness is drawn up front from per-chain generators, and per-run
-generators in sweeps derive from (seed, run index), so results do not
-depend on worker count.
+generators in sweeps derive from (seed, run index), so each trial's
+result depends only on the seed and its place in the sweep.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._kernels import mcmc_sweep
 from .cipher import KeySpace, SubstitutionKey, encrypt
 from .lang import NGramModel, redundancy
 from .spurious import unicity_distance
@@ -81,6 +79,57 @@ def _cipher_windows(ciphertext: np.ndarray, order: int, g: int):
         wins[:, j] = rem % g
         rem //= g
     return wins, counts.astype(np.float64)
+
+
+def mcmc_sweep(
+    wins: np.ndarray,
+    wcounts: np.ndarray,
+    nll_flat: np.ndarray,
+    g: int,
+    inv0: np.ndarray,
+    pair_a: np.ndarray,
+    pair_b: np.ndarray,
+    log2_u: np.ndarray,
+    temperature: float,
+    trace_every: int,
+):
+    """Metropolis walk over ciphertext->plaintext mappings.
+
+    wins: (U, n) unique ciphertext windows, wcounts their multiplicities,
+    nll_flat the per-window cost table indexed by base-g window code.
+    Proposals transpose entries (pair_a[i], pair_b[i]) of the current
+    mapping; log2_u[i] is log2 of the acceptance uniform. Returns
+    (best mapping, best score, best-so-far trace).
+    """
+    n = wins.shape[1]
+    pows = g ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    inv = inv0.copy()
+
+    idx = (inv[wins] * pows).sum(axis=1)
+    score = float(wcounts @ nll_flat[idx])
+    best = inv.copy()
+    best_score = score
+
+    iters = pair_a.shape[0]
+    trace = np.empty(1 + iters // trace_every, dtype=np.float64)
+    trace[0] = score
+
+    for i in range(iters):
+        a = pair_a[i]
+        b = pair_b[i]
+        inv[a], inv[b] = inv[b], inv[a]
+        idx = (inv[wins] * pows).sum(axis=1)
+        new_score = float(wcounts @ nll_flat[idx])
+        if new_score < score or log2_u[i] < (score - new_score) / temperature:
+            score = new_score
+            if score < best_score:
+                best_score = score
+                best[:] = inv
+        else:
+            inv[a], inv[b] = inv[b], inv[a]
+        if (i + 1) % trace_every == 0:
+            trace[1 + i // trace_every] = best_score
+    return best, best_score, trace
 
 
 def mcmc_crack(
@@ -184,8 +233,7 @@ class RecoveryCurveResult:
     seed: int
 
 
-def _run_trial(args):
-    corpus, space, config, length, trial, run_index = args
+def _run_trial(corpus, space, config, length, trial, run_index):
     ss = np.random.SeedSequence(entropy=(config.seed, run_index))
     sample_seq, attack_seq = ss.spawn(2)
     rng = np.random.default_rng(sample_seq)
@@ -212,7 +260,6 @@ def recovery_curve(
     config: AttackConfig,
     corpus: np.ndarray,
     space: KeySpace,
-    workers: int = 1,
 ) -> RecoveryCurveResult:
     """Attack fresh (plaintext slice, uniform key) pairs at each length
     and summarize recovery accuracy, alongside the theoretical unicity
@@ -228,16 +275,11 @@ def recovery_curve(
     if min(lengths) < config.model.order:
         raise ValueError("length below the scoring model order")
 
-    jobs = []
-    for i, n in enumerate(lengths):
-        for t in range(trials_per_length):
-            jobs.append((corpus, space, config, n, t, i * trials_per_length + t))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_trial, jobs))
-    else:
-        rows = [_run_trial(j) for j in jobs]
+    rows = [
+        _run_trial(corpus, space, config, n, t, i * trials_per_length + t)
+        for i, n in enumerate(lengths)
+        for t in range(trials_per_length)
+    ]
 
     summaries = []
     for n in lengths:

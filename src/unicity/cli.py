@@ -7,8 +7,10 @@ resolved config and all seeds in the output, so reruns with the same
 embedded config are byte-identical. Randomized commands that are not
 given a seed draw one and record it.
 
-Exit codes: 0 success, 1 experiment-level failure (caps exceeded,
-infeasible parameters), 2 usage or I/O error.
+Exit codes: 0 success, 1 experiment-level failure (infeasible
+parameters, a held-out corpus too short for the requested lengths),
+2 usage or I/O error, including a parameter of the wrong type or out of
+range.
 """
 
 from __future__ import annotations
@@ -26,15 +28,7 @@ import numpy as np
 from . import __version__
 from .attack import AttackConfig, mcmc_crack, recovery_curve
 from .channel import channel_report
-from .cipher import (
-    DEFAULT_ENUMERATION_CAP,
-    SHIFT,
-    SUBSTITUTION,
-    EnumerationCapError,
-    KeySpace,
-    SubstitutionKey,
-    read_keys,
-)
+from .cipher import SHIFT, SUBSTITUTION, KeySpace, SubstitutionKey, read_keys
 from .lang import Alphabet, EmptyTextError, absolute_rate, fit_ngram, normalize_text, redundancy
 from .spurious import (
     ExactSetRecognizer,
@@ -46,6 +40,30 @@ from .spurious import (
 )
 
 CORPUS_DIR_ENV = "UNICITY_CORPUS_DIR"
+
+# Numeric parameters: (type, accepted range, test). Checked once flags and
+# --config are merged; a value of another type, not finite, or outside its
+# range is a usage error.
+NUMERIC_PARAMS = {
+    "seed": (int, ">= 0", lambda v: v >= 0),
+    "workers": (int, ">= 1", lambda v: v >= 1),
+    "alphabet_size": (int, "in 1..26", lambda v: 1 <= v <= 26),
+    "order": (int, ">= 1", lambda v: v >= 1),
+    "alpha": (float, "> 0", lambda v: v > 0),
+    "redundancy": (float, "a finite number", lambda v: True),
+    "n_min": (int, ">= 0", lambda v: v >= 0),
+    "n_max": (int, "an integer", lambda v: True),
+    "n_step": (int, ">= 1", lambda v: v >= 1),
+    "rate": (float, ">= 0", lambda v: v >= 0),
+    "constructions": (int, ">= 1", lambda v: v >= 1),
+    "trials": (int, ">= 1", lambda v: v >= 1),
+    "keys_per_trial": (int, ">= 1", lambda v: v >= 1),
+    "iterations": (int, ">= 1", lambda v: v >= 1),
+    "restarts": (int, ">= 0", lambda v: v >= 0),
+    "temperature": (float, "> 0", lambda v: v > 0),
+    "checkpoint_interval": (int, ">= 1", lambda v: v >= 1),
+    "holdout_fraction": (float, "in (0, 1)", lambda v: 0 < v < 1),
+}
 
 
 class UsageError(Exception):
@@ -89,9 +107,12 @@ def _parse_lengths(value) -> list[int]:
         tok for tok in str(value).split(",") if tok.strip()
     ]
     try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise UsageError(f"lengths must be comma-separated integers, got {value!r}") from None
+        lengths = [int(tok) for tok in tokens]
+    except (TypeError, ValueError):
+        lengths = []
+    if not lengths or min(lengths) < 1:
+        raise UsageError(f"lengths must be comma-separated positive integers, got {value!r}")
+    return lengths
 
 
 def _derived_seed(*parts) -> int:
@@ -172,6 +193,8 @@ def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict
             raise UsageError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(overrides) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -180,8 +203,16 @@ def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if int(cfg["workers"]) < 1:
-        raise UsageError(f"workers must be >= 1, got {cfg['workers']}")
+    for key, (kind, accepted, test) in NUMERIC_PARAMS.items():
+        if cfg.get(key) is None:
+            continue
+        try:
+            value = kind(cfg[key])
+            ok = math.isfinite(value) and test(value)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise UsageError(f"{key.replace('_', '-')} must be {accepted}, got {cfg[key]!r}")
     if randomized and cfg["seed"] is None:
         cfg["seed"] = secrets.randbits(32)
     return cfg
@@ -271,8 +302,6 @@ def cmd_unicity(args) -> tuple[dict, str]:
         "n_step": 1,
     }
     cfg = _resolve(args, defaults, randomized=False)
-    if int(cfg["n_step"]) < 1:
-        raise UsageError(f"n-step must be >= 1, got {cfg['n_step']}")
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
     if cfg["redundancy"] is not None:
@@ -341,8 +370,6 @@ def cmd_spurious(args) -> tuple[dict, str]:
     r0 = absolute_rate(alphabet)
     seed = int(cfg["seed"])
     constructions = int(cfg["constructions"])
-    if constructions < 1:
-        raise UsageError(f"constructions must be >= 1, got {constructions}")
     header = [
         "N",
         "H_K_bits",
@@ -364,11 +391,6 @@ def cmd_spurious(args) -> tuple[dict, str]:
             )
             d = r0 - toy.rate
             if cfg["mode"] == "exhaustive":
-                if space.key_count > DEFAULT_ENUMERATION_CAP:
-                    raise ExperimentError(
-                        f"{space.key_count} keys exceeds the enumeration cap; "
-                        "rerun with --mode monte-carlo"
-                    )
                 per_seed[s] = exhaustive_spurious_counts(space, toy).mean()
             elif cfg["mode"] == "monte-carlo":
                 est = monte_carlo_spurious(
@@ -477,6 +499,8 @@ def cmd_attack(args) -> tuple[dict, str]:
     cfg = _resolve(args, defaults, randomized=True)
     if not cfg["corpus"]:
         raise UsageError("attack requires --corpus to fit the scoring model")
+    if int(cfg["order"]) < 2:
+        raise UsageError(f"attack scoring needs order >= 2, got {cfg['order']!r}")
     alphabet = _alphabet_from_cfg(cfg)
     codes = _load_corpus(cfg["corpus"], alphabet)
     seed = int(cfg["seed"])
@@ -524,6 +548,8 @@ def cmd_attack(args) -> tuple[dict, str]:
         raise UsageError(f"unknown attack mode {cfg['mode']!r}")
 
     lengths = _parse_lengths(cfg["lengths"])
+    if min(lengths) < int(cfg["order"]):
+        raise UsageError(f"lengths must be at least the model order {cfg['order']}")
     split = int(codes.size * (1.0 - float(cfg["holdout_fraction"])))
     train, heldout = codes[:split], codes[split:]
     if heldout.size < max(lengths):
@@ -547,7 +573,6 @@ def cmd_attack(args) -> tuple[dict, str]:
         config,
         heldout,
         space,
-        workers=int(cfg["workers"]),
     )
     header = [
         "N",
@@ -614,7 +639,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its fields")
     common.add_argument("--seed", type=int, help="RNG seed (recorded in the output)")
-    common.add_argument("--workers", type=int, help="parallel workers for attack sweeps")
+    common.add_argument(
+        "--workers", type=int, help="accepted for old configs; sweeps run serially, no effect"
+    )
     common.add_argument("--format", choices=["csv", "json"], help="output format")
     common.add_argument("--out", help="output path (default: stdout)")
 
@@ -698,10 +725,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExperimentError, EnumerationCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ExperimentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write(cfg, text)

@@ -154,6 +154,12 @@ def build_toy_language(
     if length * math.log2(g) > _MAX_CODE_BITS:
         raise ValueError("message space too large for 64-bit codes")
     total = g**length
+    if rate_target * length > _MAX_CODE_BITS + 1:
+        # past 2**63 messages: more than total, and 2.0**x overflows from x = 1024
+        raise ValueError(
+            f"requested over 2**{_MAX_CODE_BITS + 1} meaningful messages "
+            f"but only {total} sequences exist"
+        )
     want = round(2.0 ** (rate_target * length))
     if want > total:
         raise ValueError(
@@ -273,24 +279,19 @@ def _take(iterator, n):
             return
 
 
-def exhaustive_spurious_counts(
-    space: KeySpace, language: ToyLanguage, cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
+def exhaustive_spurious_counts(space: KeySpace, language: ToyLanguage) -> np.ndarray:
     """Spurious-key count of every member message, whatever the true key.
 
     Decrypting encrypt(k, m) under a wrong key j applies the key j^-1 k
     to m, which runs over every non-identity key as j does. A key maps m
     onto a member for |L & O(m)| * |Stab(m)| keys, the identity included,
-    so entry m of the returned int64 vector (in language order) is that
-    product minus one. Raises EnumerationCapError above `cap` keys.
+    so entry m of the returned vector (in language order) is that
+    product minus one. No key is enumerated. Entries are exact Python
+    ints in an object array, since they pass 2**63 from G = 21.
     """
-    if space.key_count > cap:
-        raise EnumerationCapError(
-            f"{space.key_count} keys exceeds cap {cap}; use monte_carlo_spurious"
-        )
     labels, stab = space.orbit_classes(language.messages)
     _, inverse, class_size = np.unique(labels, return_inverse=True, return_counts=True)
-    return (class_size[inverse] * stab - 1).astype(np.int64)
+    return class_size[inverse] * stab - 1
 
 
 @dataclass(frozen=True)
@@ -319,6 +320,8 @@ def monte_carlo_spurious(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if keys_per_trial < 1:
+        raise ValueError("keys_per_trial must be >= 1")
     if not hasattr(recognizer, "sample_message"):
         raise TypeError("recognizer must provide sample_message for Monte Carlo")
     wrong_total = space.key_count - 1

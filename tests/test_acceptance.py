@@ -243,7 +243,7 @@ def test_criterion_7_attack_monotonicity(latin, english_split, bigram_model):
     config = AttackConfig(
         model=bigram_model, iterations=20_000, restarts=5, seed=777
     )
-    curve = recovery_curve([25, 100, 400, 1600], 20, config, heldout, space, workers=2)
+    curve = recovery_curve([25, 100, 400, 1600], 20, config, heldout, space)
     means = [s.mean_plaintext_accuracy for s in curve.summaries]
     ses = [s.se_plaintext_accuracy for s in curve.summaries]
     monotone = all(

@@ -131,14 +131,6 @@ class TestRecoveryCurve:
             assert 0.0 <= s.mean_plaintext_accuracy <= 1.0
         assert curve.unicity_letters > 0
 
-    def test_workers_do_not_change_results(self, bigram_model, english_split, space):
-        _, heldout = english_split
-        cfg = AttackConfig(model=bigram_model, iterations=1500, restarts=1, seed=10)
-        serial = recovery_curve([40, 90], 2, cfg, heldout, space, workers=1)
-        threaded = recovery_curve([40, 90], 2, cfg, heldout, space, workers=3)
-        assert serial.rows == threaded.rows
-        assert serial.summaries == threaded.summaries
-
     def test_validation(self, bigram_model, english_split, space):
         _, heldout = english_split
         cfg = AttackConfig(model=bigram_model, iterations=10, restarts=0, seed=0)

@@ -186,6 +186,16 @@ class TestSpurious:
         assert abs(float(row["H_K_bits"]) - math.log2(24)) < 1e-9
         assert float(row["observed_mean"]) > 0
 
+        # 11! keys: past the old 10M-key enumeration cap, counted exactly
+        code, out, _ = run_cli(
+            capsys, "spurious", "--alphabet-size", "11", "--constructions", "4",
+            "--seed", "3",
+        )
+        assert code == 0
+        (row,) = parse_csv(out)[1]
+        assert abs(float(row["H_K_bits"]) - math.log2(math.factorial(11))) < 1e-9
+        assert float(row["observed_mean"]) > 0
+
     def test_monte_carlo(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -205,8 +215,13 @@ class TestSpurious:
         _, rows = parse_csv(out)
         assert rows[0]["trials"] == "20"
 
-    def test_cap_suggests_monte_carlo(self, capsys):
-        code, _, err = run_cli(
+    def test_exhaustive_exact_past_int64(self, capsys):
+        """26! keys, counts above 2**63: the mean equals the orbit closed
+        form |L & O(m)| * (G - k)! - 1, computed here in Python ints."""
+        from unicity import Alphabet, build_toy_language
+        from unicity.cli import _derived_seed
+
+        code, out, _ = run_cli(
             capsys,
             "spurious",
             "--alphabet-size",
@@ -219,9 +234,19 @@ class TestSpurious:
             "1",
             "--seed",
             "0",
+            "--format",
+            "json",
         )
-        assert code == 1
-        assert "monte-carlo" in err
+        assert code == 0
+        (row,) = json.loads(out)["results"]["rows"]
+        toy = build_toy_language(Alphabet.first_n(26), 3, 1.0, _derived_seed(0, 3, 0))
+        patterns = [tuple(msg.index(c) for c in msg) for msg in toy.messages.tolist()]
+        counts = [
+            patterns.count(p) * math.factorial(26 - len(set(p))) - 1 for p in patterns
+        ]
+        exact = sum(counts) / len(counts)
+        assert exact > 2**63
+        assert row["observed_mean"] == exact
 
     def test_auto_seed_recorded(self, capsys):
         code, out, _ = run_cli(
@@ -266,6 +291,9 @@ class TestChannel:
             capsys, "channel", "--lengths", "3", "--rate", "2.5", "--seed", "0"
         )
         assert code == 1
+        code, _, err = run_cli(capsys, "spurious", "--rate", "400", "--seed", "0")
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_large_alphabet_without_key_enumeration(self, capsys):
         """262,144 messages under 26! keys: exact MI from orbit classes."""
@@ -379,6 +407,20 @@ class TestAttack:
         ]
         assert len(rows) == 4
 
+    def test_curve_workers_do_not_change_results(self, capsys):
+        """--workers is accepted and echoed, but has no effect."""
+        docs = []
+        for workers in ("1", "3"):
+            code, out, _ = run_cli(
+                capsys, "attack", "--corpus", str(CORPUS_PATH), "--lengths", "40,90",
+                "--trials", "2", "--iterations", "1500", "--restarts", "1",
+                "--seed", "10", "--workers", workers, "--format", "json",
+            )
+            assert code == 0
+            docs.append(json.loads(out))
+        assert [d["config"]["workers"] for d in docs] == [1, 3]
+        assert docs[0]["results"] == docs[1]["results"]
+
     def test_curve_too_long_exit_1(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -456,6 +498,10 @@ class TestConfigHandling:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+# argv placeholders for config files the test writes first
+CONFIG_FILES = {"<config: constructions x>": {"constructions": "x"}, "<config: 5>": 5}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -469,13 +515,38 @@ class TestConfigHandling:
          "--ciphertext", "QEB NRFZH", "--true-key", "A" * 26],
         ["channel", "--lengths", "1", "--workers", "0"],
         ["attack", "--corpus", str(CORPUS_PATH), "--workers", "-3"],
+        ["spurious", "--mode", "monte-carlo", "--keys-per-trial", "0", "--seed", "1"],
+        ["spurious", "--rate", "-1"],
+        ["channel", "--rate", "-1"],
+        ["spurious", "--mode", "monte-carlo", "--trials", "0"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--iterations", "0"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--trials", "0"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--restarts", "-1"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--temperature", "0"],
+        ["unicity", "--alphabet-size", "0", "--redundancy", "1"],
+        ["channel", "--alphabet-size", "100"],
+        ["spurious", "--config", "<config: constructions x>"],
+        ["channel", "--config", "<config: 5>"],
+        ["spurious", "--length", "0"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--order", "1"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--lengths", "1"],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
         "short-true-key", "true-key-not-permutation", "workers-0", "workers-negative",
+        "keys-per-trial-0", "spurious-rate-negative", "channel-rate-negative",
+        "mc-trials-0", "iterations-0", "attack-trials-0", "restarts-negative",
+        "temperature-0", "alphabet-size-0", "alphabet-size-100", "config-not-int",
+        "config-not-object",
+        "length-0", "attack-order-1", "attack-length-below-order",
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, tmp_path, argv):
+    cfg_path = tmp_path / "cfg.json"
+    for arg in argv:
+        if arg in CONFIG_FILES:
+            cfg_path.write_text(json.dumps(CONFIG_FILES[arg]))
+    argv = [str(cfg_path) if a in CONFIG_FILES else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,9 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
-from unicity._kernels import HAVE_NUMBA, _mcmc_sweep_np, mcmc_sweep
+from unicity.attack import mcmc_sweep
 
 
 def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
@@ -54,21 +53,11 @@ class TestMcmcSweep:
     def test_numpy_path_matches_oracle(self):
         for seed in range(5):
             case = _random_case(seed)
-            best_np, score_np, trace_np = _mcmc_sweep_np(*case, 1.0, 50)
+            best_np, score_np, trace_np = mcmc_sweep(*case, 1.0, 50)
             best_or, score_or, trace_or = mcmc_oracle(*case, 1.0, 50)
             assert np.array_equal(best_np, best_or)
             assert abs(score_np - score_or) < 1e-9
             assert np.allclose(trace_np, trace_or, atol=1e-9)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba path not active")
-    def test_jit_agrees_with_numpy(self):
-        for seed in range(5):
-            case = _random_case(seed, g=6, u=20, iters=400)
-            best_j, score_j, trace_j = mcmc_sweep(*case, 1.0, 100)
-            best_n, score_n, trace_n = _mcmc_sweep_np(*case, 1.0, 100)
-            assert abs(score_j - score_n) < 1e-9
-            assert np.allclose(trace_j, trace_n, atol=1e-9)
-            assert np.array_equal(best_j, best_n)
 
     def test_improving_proposal_always_accepted(self):
         # one window AA; swapping entries 0 and 1 strictly improves the
@@ -81,7 +70,7 @@ class TestMcmcSweep:
         pair_a = np.array([0], dtype=np.int64)
         pair_b = np.array([1], dtype=np.int64)
         log2_u = np.array([math.inf])
-        best, score, trace = _mcmc_sweep_np(
+        best, score, trace = mcmc_sweep(
             wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, 1.0, 1
         )
         assert score == 1.0  # swap accepted despite impossible uniform
@@ -97,7 +86,7 @@ class TestMcmcSweep:
         pair_b = np.array([1, 1], dtype=np.int64)
         # first uniform too high to accept a +4-bit move, second low enough
         log2_u = np.array([-1.0, -8.0])
-        best, score, trace = _mcmc_sweep_np(
+        best, score, trace = mcmc_sweep(
             wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, 1.0, 1
         )
         # walker wandered uphill on step 2, but best-so-far stays at start
@@ -108,5 +97,5 @@ class TestMcmcSweep:
     def test_trace_nonincreasing(self):
         for seed in range(3):
             case = _random_case(seed, iters=500)
-            _, _, trace = _mcmc_sweep_np(*case, 1.0, 25)
+            _, _, trace = mcmc_sweep(*case, 1.0, 25)
             assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
