@@ -2,16 +2,24 @@
 
 The walker scores candidate decryptions with an n-gram model (bigram by
 default), proposes random transpositions of the current key, and keeps
-the best key seen. Runs are deterministic given the seed: all proposal
-randomness is drawn up front from per-chain generators, and per-run
-generators in sweeps derive from (seed, run index), so each trial's
-result depends only on the seed and its place in the sweep.
+the best key seen. Every chain of a crack, or of a whole recovery curve,
+advances in lock-step along a batch axis. A chain holds the n-gram
+counts of its current decryption, so a transposition is scored from the
+few counts it moves (Jakobsen 1995), in exact fixed-point integers.
+
+Runs are deterministic given the seed. Chain c of a crack seeded s draws
+its proposals from default_rng((s, c)): every first letter, then every
+second letter, then every acceptance uniform, taken in blocks as the
+batch advances. Per-run generators in sweeps derive from (seed, run
+index), so each trial's result depends only on the seed and its place
+in the sweep, not on the rest of the batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +27,13 @@ import numpy as np
 from .cipher import KeySpace, SubstitutionKey, encrypt
 from .lang import NGramModel, redundancy
 from .spurious import unicity_distance
+
+# proposals drawn per chain and stream in one generator call
+_BLOCK = 250
+# largest delta table, in entries (pairs of letters times the n-gram
+# codes that hold either letter): order 3 over 26 letters needs 1.2M;
+# order 4 would need 40.7M, about 650 MB of tables
+_MAX_DELTA_CODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -41,18 +56,27 @@ class AttackConfig:
             raise ValueError("temperature must be positive")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
+        g, n = self.model.alphabet.size, self.model.order
+        codes = g * (g - 1) // 2 * (g**n - (g - 2) ** n)
+        if codes > _MAX_DELTA_CODES:
+            raise ValueError(
+                f"an order-{n} attack over {g} letters needs {codes:,} delta-table "
+                f"entries, above the limit of {_MAX_DELTA_CODES:,}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
 class AttackResult:
     best_key: SubstitutionKey
     best_score_bits: float
-    score_trace: np.ndarray  # best-so-far at each checkpoint, nonincreasing
+    score_trace: np.ndarray  # best-so-far at each checkpoint and the end, nonincreasing
     key_accuracy: float | None
     plaintext_accuracy: float | None
     iterations: int
     restarts: int
     seed: int
+    acceptance_rates: tuple[float, ...]  # accepted proposals / iterations, per chain
+    best_restart: int  # the chain that found best_key
 
 
 def _frequency_start(ciphertext: np.ndarray, model: NGramModel) -> np.ndarray:
@@ -81,55 +105,235 @@ def _cipher_windows(ciphertext: np.ndarray, order: int, g: int):
     return wins, counts.astype(np.float64)
 
 
+def _score_bits(wins, wcounts, nll_flat, g, inv) -> float:
+    """Cost in bits of decrypting the windows with mapping inv."""
+    pows = g ** np.arange(wins.shape[1] - 1, -1, -1, dtype=np.int64)
+    idx = (inv[wins] * pows).sum(axis=1)
+    return float(wcounts @ nll_flat[idx])
+
+
+@dataclass(frozen=True)
+class _Scoring:
+    """Delta-scoring tables of one model for a batch of chains.
+
+    Pair p = pair[x, y] of plaintext letters touches the n-gram codes
+    touched[p], and swapping x and y sends touched[p, j] to image[p, j].
+    Costs are fixed-point: chain c counts in units of unit[c] bits, and
+    row row[c] + p of dnll holds L[image[p]] - L[touched[p]] in those
+    units."""
+
+    pair: np.ndarray  # (g, g)
+    touched: np.ndarray  # (P, M) int32
+    image: np.ndarray  # (P, M) int32
+    dnll: np.ndarray  # (levels * P, M) int64
+    row: np.ndarray  # (C,) P times the chain's fixed-point level
+    unit: np.ndarray  # (C,) bits per fixed-point unit, a power of two
+
+
+def _touched_codes(g: int, n: int):
+    """For each pair {x, y} of letters, the codes of the n-grams that
+    contain x or y, and their codes once x and y are swapped."""
+    pows = g ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(g**n, dtype=np.int64)[:, None] // pows % g
+    pairs = list(itertools.combinations(range(g), 2))
+    pair = np.zeros((g, g), dtype=np.int64)
+    touched = np.empty((len(pairs), g**n - (g - 2) ** n), dtype=np.int32)
+    image = np.empty_like(touched)
+    for p, (x, y) in enumerate(pairs):
+        pair[x, y] = pair[y, x] = p
+        touched[p] = np.flatnonzero(((digits == x) | (digits == y)).any(axis=1))
+        d = digits[touched[p]]
+        image[p] = np.where(d == x, y, np.where(d == y, x, d)) @ pows
+    return pair, touched, image
+
+
+def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int):
+    """Scoring tables and start state of a batch in which chain c walks
+    from mapping inv0[c] over the ciphertext windows windows[c], a
+    (wins, wcounts) pair. Returns (decrypted n-gram counts, fixed-point
+    scores, scoring tables)."""
+    n = windows[0][0].shape[1]
+    pair, touched, image = _touched_codes(g, n)
+    # A chain counts in units of 2**-k bits, where k keeps (a bound on
+    # its window count) * (largest cost) below 2**62 units, so no sum of
+    # counts times costs overflows int64. The bound is a power of 16, so
+    # ciphertexts of similar length share one table, and no chain's
+    # scale depends on the rest of its batch.
+    max_bits = math.frexp(float(nll_flat.max()))[1]
+    ks = np.array(
+        [62 - max_bits - 4 * math.ceil(math.frexp(wc.sum())[1] / 4) for _, wc in windows]
+    )
+    levels, level = np.unique(ks, return_inverse=True)
+    nll_fixed = np.stack([np.rint(np.ldexp(nll_flat, k)).astype(np.int64) for k in levels])
+    dnll = np.empty((levels.size * touched.shape[0], touched.shape[1]), dtype=np.int64)
+    for lq, rows in zip(nll_fixed, np.split(dnll, levels.size)):
+        np.take(lq, image, out=rows)
+        rows -= lq[touched]
+    scoring = _Scoring(
+        pair=pair,
+        touched=touched,
+        image=image,
+        dnll=dnll,
+        row=level * touched.shape[0],
+        unit=np.ldexp(1.0, -ks),
+    )
+    pows = g ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    counts = np.zeros((len(windows), g**n), dtype=np.int64)
+    for c, (wins, wcounts) in enumerate(windows):
+        np.add.at(counts[c], (inv0[c][wins] * pows).sum(axis=1), wcounts.astype(np.int64))
+    score = np.array([counts[c] @ nll_fixed[level[c]] for c in range(len(windows))])
+    return counts, score.astype(np.int64), scoring
+
+
 def mcmc_sweep(
-    wins: np.ndarray,
-    wcounts: np.ndarray,
-    nll_flat: np.ndarray,
-    g: int,
-    inv0: np.ndarray,
+    counts: np.ndarray,
+    inv: np.ndarray,
+    score: np.ndarray,
+    best_inv: np.ndarray,
+    best_score: np.ndarray,
     pair_a: np.ndarray,
     pair_b: np.ndarray,
     log2_u: np.ndarray,
+    scoring: _Scoring,
     temperature: float,
-    trace_every: int,
-):
-    """Metropolis walk over ciphertext->plaintext mappings.
+) -> np.ndarray:
+    """Advance a batch of Metropolis chains in lock-step, in place.
 
-    wins: (U, n) unique ciphertext windows, wcounts their multiplicities,
-    nll_flat the per-window cost table indexed by base-g window code.
-    Proposals transpose entries (pair_a[i], pair_b[i]) of the current
-    mapping; log2_u[i] is log2 of the acceptance uniform. Returns
-    (best mapping, best score, best-so-far trace).
+    Row c of every array is chain c: counts its decrypted n-gram counts,
+    inv its ciphertext->plaintext mapping, score the fixed-point cost of
+    inv, and best_inv/best_score the best mapping seen. Step j proposes
+    to transpose entries (pair_a[c, j], pair_b[c, j]) of inv; log2_u is
+    log2 of the acceptance uniform. A step is scored from the counts of
+    the n-grams holding either swapped letter. counts must be
+    C-contiguous, as it is updated through a flat view. Returns the
+    number of proposals each chain accepted.
     """
-    n = wins.shape[1]
-    pows = g ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    inv = inv0.copy()
+    chains = np.arange(inv.shape[0])
+    flat = counts.reshape(-1)
+    base = chains[:, None] * counts.shape[1]
+    accepted = np.zeros(chains.size, dtype=np.int64)
+    for j in range(pair_a.shape[1]):
+        a = pair_a[:, j]
+        b = pair_b[:, j]
+        x = inv[chains, a]
+        y = inv[chains, b]
+        p = scoring.pair[x, y]
+        cells = scoring.touched[p] + base
+        moved = flat[cells]
+        delta = np.einsum("ij,ij->i", moved, scoring.dnll[scoring.row + p])
+        accept = (delta < 0) | (log2_u[:, j] < -delta * scoring.unit / temperature)
+        c = np.flatnonzero(accept)
+        if not c.size:
+            continue
+        flat[scoring.image[p[c]] + base[c]] = moved[c]
+        inv[c, a[c]] = y[c]
+        inv[c, b[c]] = x[c]
+        score[c] += delta[c]
+        accepted[c] += 1
+        better = c[score[c] < best_score[c]]
+        if better.size:
+            best_score[better] = score[better]
+            best_inv[better] = inv[better]
+    return accepted
 
-    idx = (inv[wins] * pows).sum(axis=1)
-    score = float(wcounts @ nll_flat[idx])
-    best = inv.copy()
-    best_score = score
 
-    iters = pair_a.shape[0]
-    trace = np.empty(1 + iters // trace_every, dtype=np.float64)
-    trace[0] = score
+def _proposals(seed: int, chain: int, g: int, iterations: int, pair_a, pair_b, log2_u):
+    """Fill the rows pair_a, pair_b and log2_u with one chain's proposals
+    a block at a time, yielding each block's size. The blocks join up to
+    what three whole calls on default_rng((seed, chain)) would draw: all
+    first letters, then all raw second letters, then all uniforms."""
+    sizes = [min(_BLOCK, iterations - start) for start in range(0, iterations, _BLOCK)]
+    gen_a, gen_b, gen_u = (np.random.default_rng((seed, chain)) for _ in range(3))
+    for size in sizes:
+        gen_b.integers(0, g, size=size)
+    gen_u.bit_generator.state = gen_b.bit_generator.state
+    for size in sizes:
+        gen_u.integers(0, g - 1, size=size)
+    for size in sizes:
+        pair_a[:size] = gen_a.integers(0, g, size=size)
+        raw_b = gen_b.integers(0, g - 1, size=size)
+        pair_b[:size] = raw_b + (raw_b >= pair_a[:size])
+        np.log2(gen_u.random(out=log2_u[:size]), out=log2_u[:size])
+        yield size
 
-    for i in range(iters):
-        a = pair_a[i]
-        b = pair_b[i]
-        inv[a], inv[b] = inv[b], inv[a]
-        idx = (inv[wins] * pows).sum(axis=1)
-        new_score = float(wcounts @ nll_flat[idx])
-        if new_score < score or log2_u[i] < (score - new_score) / temperature:
-            score = new_score
-            if score < best_score:
-                best_score = score
-                best[:] = inv
-        else:
-            inv[a], inv[b] = inv[b], inv[a]
-        if (i + 1) % trace_every == 0:
-            trace[1 + i // trace_every] = best_score
-    return best, best_score, trace
+
+def _crack_batch(jobs, config: AttackConfig) -> list[AttackResult]:
+    """Crack each (ciphertext, seed, true key or None) job with
+    restarts+1 chains, all jobs' chains advancing as one batch."""
+    model = config.model
+    g = model.alphabet.size
+    nll_flat = model.nll_flat
+    per_job = config.restarts + 1
+    iters = config.iterations
+    every = config.checkpoint_interval
+
+    job_windows = [_cipher_windows(ct, model.order, g) for ct, _, _ in jobs]
+    windows = [w for w in job_windows for _ in range(per_job)]
+    inv = np.repeat([_frequency_start(ct, model) for ct, _, _ in jobs], per_job, axis=0)
+    counts, score, scoring = _start_chains(windows, inv, nll_flat, g)
+    best_inv = inv.copy()
+    best_score = score.copy()
+    accepts = np.zeros(len(windows), dtype=np.int64)
+
+    # reported scores are float rescores of best keys, made when they change
+    bits = np.array([_score_bits(*w, nll_flat, g, v) for w, v in zip(windows, inv)])
+    trace = np.empty((len(windows), 1 + math.ceil(iters / every)))
+    trace[:, 0] = bits
+    recorded = best_score.copy()
+    col = 1
+    done = 0
+    pair_a = np.empty((len(windows), min(_BLOCK, iters)), dtype=np.int64)
+    pair_b = np.empty_like(pair_a)
+    log2_u = np.empty(pair_a.shape)
+    seeds = [seed for _, seed, _ in jobs for _ in range(per_job)]
+    streams = [
+        _proposals(seed, c % per_job, g, iters, pair_a[c], pair_b[c], log2_u[c])
+        for c, seed in enumerate(seeds)
+    ]
+    for size, *_ in zip(*streams):  # every chain draws blocks of one size
+        lo = 0
+        while lo < size:
+            hi = min(size, lo + every - (done + lo) % every)
+            accepts += mcmc_sweep(
+                counts, inv, score, best_inv, best_score, pair_a[:, lo:hi],
+                pair_b[:, lo:hi], log2_u[:, lo:hi], scoring, config.temperature,
+            )
+            lo = hi
+            if (done + hi) % every == 0 or done + hi == iters:
+                for c in np.flatnonzero(best_score != recorded):
+                    bits[c] = _score_bits(*windows[c], nll_flat, g, best_inv[c])
+                recorded[:] = best_score
+                trace[:, col] = bits
+                col += 1
+        done += size
+
+    results = []
+    for j, (ciphertext, seed, true_key) in enumerate(jobs):
+        rows = slice(j * per_job, (j + 1) * per_job)
+        winner = int(np.argmin(bits[rows]))
+        found = best_inv[j * per_job + winner]
+        best_key = SubstitutionKey(np.argsort(found))
+        key_acc = None
+        plain_acc = None
+        if true_key is not None:
+            key_acc = float((best_key.mapping == true_key.mapping).mean())
+            truth = true_key.inverse().mapping[ciphertext]
+            plain_acc = float((found[ciphertext] == truth).mean())
+        results.append(
+            AttackResult(
+                best_key=best_key,
+                best_score_bits=float(bits[rows][winner]),
+                score_trace=np.minimum.accumulate(trace[rows].ravel()),
+                key_accuracy=key_acc,
+                plaintext_accuracy=plain_acc,
+                iterations=iters,
+                restarts=config.restarts,
+                seed=seed,
+                acceptance_rates=tuple((accepts[rows] / iters).tolist()),
+                best_restart=winner,
+            )
+        )
+    return results
 
 
 def mcmc_crack(
@@ -140,66 +344,12 @@ def mcmc_crack(
     """Run restarts+1 independent Metropolis chains and return the best
     key found. Accuracies are filled in when the true key is supplied."""
     ciphertext = np.asarray(ciphertext, dtype=np.int64)
-    model = config.model
-    g = model.alphabet.size
-    if ciphertext.size < model.order:
+    g = config.model.alphabet.size
+    if ciphertext.size < config.model.order:
         raise ValueError("ciphertext shorter than the scoring model order")
     if ciphertext.min() < 0 or ciphertext.max() >= g:
         raise ValueError("ciphertext code outside the model alphabet")
-
-    wins, wcounts = _cipher_windows(ciphertext, model.order, g)
-    nll_flat = model.nll_flat
-    inv0 = _frequency_start(ciphertext, model)
-
-    best_inv = None
-    best_score = math.inf
-    traces = []
-    for chain in range(config.restarts + 1):
-        rng = np.random.default_rng((config.seed, chain))
-        pair_a = rng.integers(0, g, size=config.iterations)
-        raw_b = rng.integers(0, g - 1, size=config.iterations)
-        pair_b = raw_b + (raw_b >= pair_a)
-        log2_u = np.log2(rng.random(size=config.iterations))
-        inv, score, trace = mcmc_sweep(
-            wins,
-            wcounts,
-            nll_flat,
-            g,
-            inv0,
-            pair_a,
-            pair_b,
-            log2_u,
-            config.temperature,
-            config.checkpoint_interval,
-        )
-        traces.append(trace)
-        if score < best_score:
-            best_score = score
-            best_inv = inv
-
-    score_trace = np.minimum.accumulate(np.concatenate(traces))
-    mapping = np.empty(g, dtype=np.int64)
-    mapping[best_inv] = np.arange(g, dtype=np.int64)
-    best_key = SubstitutionKey(mapping)
-
-    key_acc = None
-    plain_acc = None
-    if true_key is not None:
-        key_acc = float((best_key.mapping == true_key.mapping).mean())
-        recovered = best_inv[ciphertext]
-        truth = true_key.inverse().mapping[ciphertext]
-        plain_acc = float((recovered == truth).mean())
-
-    return AttackResult(
-        best_key=best_key,
-        best_score_bits=float(best_score),
-        score_trace=score_trace,
-        key_accuracy=key_acc,
-        plaintext_accuracy=plain_acc,
-        iterations=config.iterations,
-        restarts=config.restarts,
-        seed=config.seed,
-    )
+    return _crack_batch([(ciphertext, config.seed, true_key)], config)[0]
 
 
 @dataclass(frozen=True)
@@ -233,25 +383,16 @@ class RecoveryCurveResult:
     seed: int
 
 
-def _run_trial(corpus, space, config, length, trial, run_index):
-    ss = np.random.SeedSequence(entropy=(config.seed, run_index))
+def _trial_job(corpus, space, seed, length, run_index):
+    """The (ciphertext, attack seed, true key) of one curve trial."""
+    ss = np.random.SeedSequence(entropy=(seed, run_index))
     sample_seq, attack_seq = ss.spawn(2)
     rng = np.random.default_rng(sample_seq)
     offset = int(rng.integers(0, corpus.size - length + 1))
     plaintext = corpus[offset : offset + length]
     true_key = space.sample(rng)
-    ciphertext = encrypt(true_key, plaintext)
     attack_seed = int(attack_seq.generate_state(1, np.uint64)[0])
-    result = mcmc_crack(ciphertext, replace(config, seed=attack_seed), true_key)
-    return AttackTrialRow(
-        length=length,
-        trial=trial,
-        key_accuracy=result.key_accuracy,
-        plaintext_accuracy=result.plaintext_accuracy,
-        best_score_bits=result.best_score_bits,
-        iterations=result.iterations,
-        seed=attack_seed,
-    )
+    return encrypt(true_key, plaintext), attack_seed, true_key
 
 
 def recovery_curve(
@@ -275,10 +416,22 @@ def recovery_curve(
     if min(lengths) < config.model.order:
         raise ValueError("length below the scoring model order")
 
+    cells = [(n, t) for n in lengths for t in range(trials_per_length)]
+    jobs = [
+        _trial_job(corpus, space, config.seed, n, i)
+        for i, (n, _) in enumerate(cells)
+    ]
     rows = [
-        _run_trial(corpus, space, config, n, t, i * trials_per_length + t)
-        for i, n in enumerate(lengths)
-        for t in range(trials_per_length)
+        AttackTrialRow(
+            length=n,
+            trial=t,
+            key_accuracy=result.key_accuracy,
+            plaintext_accuracy=result.plaintext_accuracy,
+            best_score_bits=result.best_score_bits,
+            iterations=result.iterations,
+            seed=result.seed,
+        )
+        for (n, t), result in zip(cells, _crack_batch(jobs, config))
     ]
 
     summaries = []

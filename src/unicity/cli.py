@@ -541,6 +541,8 @@ def cmd_attack(args) -> tuple[dict, str]:
             "restarts": result.restarts,
             "seed": seed,
             "score_trace": result.score_trace.tolist(),
+            "acceptance_rates": list(result.acceptance_rates),
+            "best_restart": result.best_restart,
         }
         return cfg, _emit(cfg, "attack", header, rows, results)
 

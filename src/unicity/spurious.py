@@ -313,10 +313,11 @@ def monte_carlo_spurious(
     """Sampling stand-in for exhaustive counting.
 
     Each trial draws a plaintext from the recognizer's language and a
-    true key, then samples candidate keys uniformly and scales the
-    acceptance fraction among wrong candidates up to the key_count - 1
-    wrong keys. Per-trial generators derive from (seed, trial), so the
-    result does not depend on evaluation order.
+    true key, then samples keys uniformly, redrawing any that equal the
+    true key, until keys_per_trial wrong keys are in. Their acceptance
+    fraction is scaled up to the key_count - 1 wrong keys. Per-trial
+    generators derive from (seed, trial), so the result does not depend
+    on evaluation order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -325,6 +326,10 @@ def monte_carlo_spurious(
     if not hasattr(recognizer, "sample_message"):
         raise TypeError("recognizer must provide sample_message for Monte Carlo")
     wrong_total = space.key_count - 1
+    if wrong_total == 0:  # a one-key space has no wrong key to sample
+        return MonteCarloEstimate(
+            mean=0.0, se=0.0 if trials > 1 else math.nan, trials=trials, seed=seed
+        )
     estimates = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
@@ -337,14 +342,14 @@ def monte_carlo_spurious(
         ciphertext = true_key.mapping[plain]
         accepted = 0
         wrong = 0
-        for _ in range(keys_per_trial):
+        while wrong < keys_per_trial:
             cand = space.sample(rng)
             if np.array_equal(cand.mapping, true_key.mapping):
                 continue
             wrong += 1
             if recognizer.accepts(cand.inverse().mapping[ciphertext]):
                 accepted += 1
-        estimates[t] = wrong_total * (accepted / wrong) if wrong else 0.0
+        estimates[t] = wrong_total * (accepted / keys_per_trial)
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
     return MonteCarloEstimate(mean=mean, se=se, trials=trials, seed=seed)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from unicity import (
     mcmc_crack,
     recovery_curve,
 )
+from unicity.attack import _trial_job
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +25,11 @@ class TestConfig:
         model = NGramModel.uniform(latin, order=1)
         with pytest.raises(ValueError):
             AttackConfig(model=model)
+
+    def test_delta_tables_bounded(self, latin):
+        AttackConfig(model=NGramModel.uniform(latin, order=3))
+        with pytest.raises(ValueError, match="delta-table"):
+            AttackConfig(model=NGramModel.uniform(latin, order=4))
 
     def test_parameter_validation(self, bigram_model):
         with pytest.raises(ValueError):
@@ -58,6 +66,52 @@ class TestCrack:
         assert trace.size == (res.restarts + 1) * (1 + res.iterations // 100)
         assert np.all(trace[:-1] >= trace[1:] - 1e-12)
         assert res.best_score_bits == trace[-1]
+
+    def test_trace_closes_with_best_off_interval(self, bigram_model, english_split, space):
+        """When the last step is not a checkpoint, each chain's trace is
+        closed with its final best, so the trace ends at the best score."""
+        _, heldout = english_split
+        for seed in range(6):
+            key = space.sample(np.random.default_rng((9, seed)))
+            cipher = encrypt(key, heldout[seed * 300 : seed * 300 + 250])
+            cfg = AttackConfig(
+                model=bigram_model, iterations=150, restarts=2, seed=seed,
+                checkpoint_interval=100,
+            )
+            res = mcmc_crack(cipher, cfg, key)
+            trace = res.score_trace
+            assert trace.size == 3 * (1 + 1 + 1)
+            assert np.all(trace[:-1] >= trace[1:])
+            assert trace[-1] == res.best_score_bits
+
+    def test_telemetry(self, bigram_model, english_split, space):
+        """One acceptance rate per chain and the index of the winning
+        restart; a hot walk accepts nearly everything, a cold one little."""
+        _, heldout = english_split
+        key = space.sample(np.random.default_rng(4))
+        cipher = encrypt(key, heldout[:300])
+        cfg = AttackConfig(model=bigram_model, iterations=1000, restarts=3, seed=2)
+        res = mcmc_crack(cipher, cfg, key)
+        assert len(res.acceptance_rates) == 4
+        assert all(0.0 <= r <= 1.0 for r in res.acceptance_rates)
+        assert 0 <= res.best_restart <= 3
+        again = mcmc_crack(cipher, cfg, key)
+        assert again.acceptance_rates == res.acceptance_rates
+        assert again.best_restart == res.best_restart
+        hot = mcmc_crack(cipher, replace(cfg, temperature=1e9), key)
+        cold = mcmc_crack(cipher, replace(cfg, temperature=1e-9), key)
+        assert min(hot.acceptance_rates) > 0.99
+        assert max(cold.acceptance_rates) < 0.2
+
+    def test_order_three_model(self, trigram_model, english_split, space):
+        _, heldout = english_split
+        key = space.sample(np.random.default_rng(6))
+        cipher = encrypt(key, heldout[:150])
+        cfg = AttackConfig(model=trigram_model, iterations=600, restarts=1, seed=3)
+        res = mcmc_crack(cipher, cfg, key)
+        plain = res.best_key.inverse().mapping[cipher]
+        assert abs(res.best_score_bits - trigram_model.sequence_nll(plain)) < 1e-6
+        assert res.score_trace[-1] == res.best_score_bits
 
     def test_accuracies_none_without_truth(self, bigram_model, english_split):
         _, heldout = english_split
@@ -130,6 +184,20 @@ class TestRecoveryCurve:
             assert s.trials == 3
             assert 0.0 <= s.mean_plaintext_accuracy <= 1.0
         assert curve.unicity_letters > 0
+
+    def test_rows_match_standalone_cracks(self, bigram_model, english_split, space):
+        """A curve runs every trial's chains in one batch; each row is
+        still the crack of its own ciphertext under its attack seed."""
+        _, heldout = english_split
+        cfg = AttackConfig(model=bigram_model, iterations=1500, restarts=2, seed=5)
+        curve = recovery_curve([20, 90, 300], 2, cfg, heldout, space)
+        for i, row in enumerate(curve.rows):
+            cipher, seed, key = _trial_job(heldout, space, cfg.seed, row.length, i)
+            assert seed == row.seed
+            res = mcmc_crack(cipher, replace(cfg, seed=seed), key)
+            assert res.best_score_bits == row.best_score_bits
+            assert res.key_accuracy == row.key_accuracy
+            assert res.plaintext_accuracy == row.plaintext_accuracy
 
     def test_validation(self, bigram_model, english_split, space):
         _, heldout = english_split

@@ -215,6 +215,23 @@ class TestSpurious:
         _, rows = parse_csv(out)
         assert rows[0]["trials"] == "20"
 
+    def test_monte_carlo_unbiased_with_one_key_per_trial(self, capsys):
+        """With 2 keys and 1 candidate per trial, most candidates equal the
+        true key. They are redrawn, not scored as zero, so the mean stays
+        within 4 SE of the exact mean on the same languages."""
+        argv = ["spurious", "--alphabet-size", "2", "--length", "3", "--rate", "0.5",
+                "--constructions", "20", "--seed", "1", "--format", "json"]
+        code, out, _ = run_cli(
+            capsys, *argv, "--mode", "monte-carlo", "--trials", "20", "--keys-per-trial", "1"
+        )
+        assert code == 0
+        (mc,) = json.loads(out)["results"]["rows"]
+        code, out, _ = run_cli(capsys, *argv, "--mode", "exhaustive")
+        assert code == 0
+        (exact,) = json.loads(out)["results"]["rows"]
+        assert mc["observed_se"] > 0
+        assert abs(mc["observed_mean"] - exact["observed_mean"]) <= 4 * mc["observed_se"]
+
     def test_exhaustive_exact_past_int64(self, capsys):
         """26! keys, counts above 2**63: the mean equals the orbit closed
         form |L & O(m)| * (G - k)! - 1, computed here in Python ints."""
@@ -338,6 +355,26 @@ class TestAttack:
         doc = json.loads(out)
         assert doc["results"]["plaintext_accuracy"] >= 0.9
         assert len(doc["results"]["best_key"]) == 26
+        rates = doc["results"]["acceptance_rates"]
+        assert len(rates) == 4 and all(0.0 <= r <= 1.0 for r in rates)
+        assert doc["results"]["best_restart"] in range(4)
+
+    def test_crack_order_three(self, capsys, latin, english_split):
+        from unicity import SubstitutionKey, encrypt
+
+        _, heldout = english_split
+        key = SubstitutionKey.shift(26, 5)
+        cipher_text = latin.decode(encrypt(key, heldout[:200]))
+        code, out, _ = run_cli(
+            capsys, "attack", "--mode", "crack", "--order", "3", "--corpus",
+            str(CORPUS_PATH), "--ciphertext", cipher_text, "--iterations", "300",
+            "--restarts", "1", "--checkpoint-interval", "40", "--seed", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert len(res["score_trace"]) == 2 * (1 + 7 + 1)
+        assert res["score_trace"][-1] == res["best_score_bits"]
 
     def test_crack_key_from_file(self, capsys, tmp_path, latin, english_split):
         from unicity import SubstitutionKey, encrypt

@@ -281,6 +281,21 @@ class TestMonteCarlo:
         assert est.se > 0
         assert abs(est.mean - exact) <= 3 * est.se
 
+    def test_one_key_space_has_no_spurious_keys(self):
+        """With a single key there is no wrong key to draw: the estimate
+        is 0 and no candidate is sampled."""
+
+        class OneLetter:
+            def sample_message(self, rng):
+                return np.zeros(3, dtype=np.int64)
+
+            def accepts(self, codes):
+                raise AssertionError("no candidate should be scored")
+
+        space = KeySpace(SUBSTITUTION, Alphabet.first_n(1))
+        est = monte_carlo_spurious(space, OneLetter(), 3, trials=4, seed=0)
+        assert (est.mean, est.se) == (0.0, 0.0)
+
     def test_single_trial_se_undefined(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
