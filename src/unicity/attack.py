@@ -2,10 +2,12 @@
 
 The walker scores candidate decryptions with an n-gram model (bigram by
 default), proposes random transpositions of the current key, and keeps
-the best key seen. Every chain of a crack, or of a whole recovery curve,
-advances in lock-step along a batch axis. A chain holds the n-gram
-counts of its current decryption, so a transposition is scored from the
-few counts it moves (Jakobsen 1995), in exact fixed-point integers.
+the best key seen. The chains of a crack, and of a recovery curve's
+trials in groups, advance in lock-step along a batch axis. A chain holds
+the n-gram code of each distinct window of its decrypted ciphertext, so
+a transposition is scored from the few windows it moves (after Jakobsen
+1995), in exact fixed-point integers; the work per step follows the
+text, not the number of n-grams.
 
 Runs are deterministic given the seed. Chain c of a crack seeded s draws
 its proposals from default_rng((s, c)): every first letter, then every
@@ -17,7 +19,6 @@ in the sweep, not on the rest of the batch.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,15 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from .cipher import KeySpace, SubstitutionKey, encrypt
-from .lang import NGramModel, redundancy
+from .lang import NGramModel, _window_codes, redundancy
 from .spurious import unicity_distance
 
 # proposals drawn per chain and stream in one generator call
-_BLOCK = 250
-# largest delta table, in entries (pairs of letters times the n-gram
-# codes that hold either letter): order 3 over 26 letters needs 1.2M;
-# order 4 would need 40.7M, about 650 MB of tables
-_MAX_DELTA_CODES = 1 << 22
+_BLOCK = 100
+# most chains advanced as one batch: a recovery curve runs its trials in
+# groups of whole cracks, so memory does not grow with the trial count
+_BATCH_CHAINS = 64
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.model.order < 2:
             raise ValueError("attack model must have order >= 2")
+        if self.model.alphabet.size < 2:
+            raise ValueError("attack needs at least 2 letters to propose transpositions")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.restarts < 0:
@@ -56,13 +58,6 @@ class AttackConfig:
             raise ValueError("temperature must be positive")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        g, n = self.model.alphabet.size, self.model.order
-        codes = g * (g - 1) // 2 * (g**n - (g - 2) ** n)
-        if codes > _MAX_DELTA_CODES:
-            raise ValueError(
-                f"an order-{n} attack over {g} letters needs {codes:,} delta-table "
-                f"entries, above the limit of {_MAX_DELTA_CODES:,}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +86,14 @@ def _frequency_start(ciphertext: np.ndarray, model: NGramModel) -> np.ndarray:
     return inv
 
 
+def _codes(wins: np.ndarray, g: int) -> np.ndarray:
+    """Base-g code of each row of a (windows, order) letter array."""
+    return wins @ g ** np.arange(wins.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
 def _cipher_windows(ciphertext: np.ndarray, order: int, g: int):
     """Unique length-`order` windows of the ciphertext and their counts."""
-    wins_all = np.lib.stride_tricks.sliding_window_view(ciphertext, order)
-    pows = g ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    codes = wins_all @ pows
-    uniq, counts = np.unique(codes, return_counts=True)
+    uniq, counts = np.unique(_window_codes(ciphertext, order, g), return_counts=True)
     wins = np.empty((uniq.size, order), dtype=np.int64)
     rem = uniq.copy()
     for j in range(order - 1, -1, -1):
@@ -107,86 +104,83 @@ def _cipher_windows(ciphertext: np.ndarray, order: int, g: int):
 
 def _score_bits(wins, wcounts, nll_flat, g, inv) -> float:
     """Cost in bits of decrypting the windows with mapping inv."""
-    pows = g ** np.arange(wins.shape[1] - 1, -1, -1, dtype=np.int64)
-    idx = (inv[wins] * pows).sum(axis=1)
-    return float(wcounts @ nll_flat[idx])
+    return float(wcounts @ nll_flat[_codes(inv[wins], g)])
 
 
 @dataclass(frozen=True)
 class _Scoring:
-    """Delta-scoring tables of one model for a batch of chains.
+    """Delta-scoring tables of a batch of chains.
 
-    Pair p = pair[x, y] of plaintext letters touches the n-gram codes
-    touched[p], and swapping x and y sends touched[p, j] to image[p, j].
-    Costs are fixed-point: chain c counts in units of unit[c] bits, and
-    row row[c] + p of dnll holds L[image[p]] - L[touched[p]] in those
-    units."""
+    Row row[c] + a of lists belongs to cipher letter a in chain c's
+    ciphertext. Its three planes list the windows that hold a, the sum
+    of the place values at which each holds it, and how often each
+    occurs; short rows are padded with the last column of the chain's
+    code row, a window of count zero. Costs are fixed point: chain c
+    counts in units of unit[c] bits, and its codes are offset into the
+    block of cost that holds the model's costs in those units."""
 
-    pair: np.ndarray  # (g, g)
-    touched: np.ndarray  # (P, M) int32
-    image: np.ndarray  # (P, M) int32
-    dnll: np.ndarray  # (levels * P, M) int64
-    row: np.ndarray  # (C,) P times the chain's fixed-point level
-    unit: np.ndarray  # (C,) bits per fixed-point unit, a power of two
-
-
-def _touched_codes(g: int, n: int):
-    """For each pair {x, y} of letters, the codes of the n-grams that
-    contain x or y, and their codes once x and y are swapped."""
-    pows = g ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(g**n, dtype=np.int64)[:, None] // pows % g
-    pairs = list(itertools.combinations(range(g), 2))
-    pair = np.zeros((g, g), dtype=np.int64)
-    touched = np.empty((len(pairs), g**n - (g - 2) ** n), dtype=np.int32)
-    image = np.empty_like(touched)
-    for p, (x, y) in enumerate(pairs):
-        pair[x, y] = pair[y, x] = p
-        touched[p] = np.flatnonzero(((digits == x) | (digits == y)).any(axis=1))
-        d = digits[touched[p]]
-        image[p] = np.where(d == x, y, np.where(d == y, x, d)) @ pows
-    return pair, touched, image
+    lists: np.ndarray  # (3, ciphertexts * g, M) int32
+    row: np.ndarray  # (C,)
+    cost: np.ndarray  # (scales * g**order,) int64
+    unit: np.ndarray  # (C,) bits per unit, a power of two
 
 
-def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int):
-    """Scoring tables and start state of a batch in which chain c walks
-    from mapping inv0[c] over the ciphertext windows windows[c], a
-    (wins, wcounts) pair. Returns (decrypted n-gram counts, fixed-point
-    scores, scoring tables)."""
-    n = windows[0][0].shape[1]
-    pair, touched, image = _touched_codes(g, n)
+def _letter_windows(wins: np.ndarray, g: int):
+    """(letter, window, place sum) for each window and each letter it
+    holds, by letter: the place sum adds the place values at which the
+    window holds the letter."""
+    n = wins.shape[1]
+    places = np.zeros((g, wins.shape[0]), dtype=np.int64)
+    for j in range(n):
+        places[wins[:, j], np.arange(wins.shape[0])] += g ** (n - 1 - j)
+    a, w = np.nonzero(places)
+    return a, w, places[a, w]
+
+
+def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_job: int = 1):
+    """Scoring tables and start state of a batch in which chains
+    i * per_job to i * per_job + per_job - 1 walk over the ciphertext
+    windows windows[i], a (wins, wcounts) pair, chain c from mapping
+    inv0[c]. Returns (the cost index of each window of each chain's
+    decryption, fixed-point scores, scoring tables)."""
+    job = np.arange(len(windows)).repeat(per_job)
+    width = 1 + max(wins.shape[0] for wins, _ in windows)  # the last column pads
+    held = [_letter_windows(wins, g) for wins, _ in windows]
+    longest = max(int(np.bincount(a).max()) for a, _, _ in held)
+    lists = np.zeros((3, len(windows) * g, longest), dtype=np.int32)
+    lists[0] = width - 1
+    for i, ((_, wcounts), (a, w, place)) in enumerate(zip(windows, held)):
+        at = (i * g + a, np.arange(a.size) - np.searchsorted(a, a))
+        lists[(0, *at)] = w
+        lists[(1, *at)] = place
+        lists[(2, *at)] = wcounts[w]
     # A chain counts in units of 2**-k bits, where k keeps (a bound on
-    # its window count) * (largest cost) below 2**62 units, so no sum of
-    # counts times costs overflows int64. The bound is a power of 16, so
-    # ciphertexts of similar length share one table, and no chain's
-    # scale depends on the rest of its batch.
+    # its window count) * (largest cost) within 2**62 units. A move sums
+    # cost changes over at most twice the windows, so nothing passes
+    # int64. The bound is a power of 16, so ciphertexts of similar length
+    # share one cost table, and no chain's scale depends on its batch.
     max_bits = math.frexp(float(nll_flat.max()))[1]
     ks = np.array(
         [62 - max_bits - 4 * math.ceil(math.frexp(wc.sum())[1] / 4) for _, wc in windows]
     )
     levels, level = np.unique(ks, return_inverse=True)
-    nll_fixed = np.stack([np.rint(np.ldexp(nll_flat, k)).astype(np.int64) for k in levels])
-    dnll = np.empty((levels.size * touched.shape[0], touched.shape[1]), dtype=np.int64)
-    for lq, rows in zip(nll_fixed, np.split(dnll, levels.size)):
-        np.take(lq, image, out=rows)
-        rows -= lq[touched]
     scoring = _Scoring(
-        pair=pair,
-        touched=touched,
-        image=image,
-        dnll=dnll,
-        row=level * touched.shape[0],
-        unit=np.ldexp(1.0, -ks),
+        lists=lists,
+        row=job * g,
+        cost=np.concatenate([np.rint(np.ldexp(nll_flat, k)).astype(np.int64) for k in levels]),
+        unit=np.ldexp(1.0, -ks[job]),
     )
-    pows = g ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    counts = np.zeros((len(windows), g**n), dtype=np.int64)
-    for c, (wins, wcounts) in enumerate(windows):
-        np.add.at(counts[c], (inv0[c][wins] * pows).sum(axis=1), wcounts.astype(np.int64))
-    score = np.array([counts[c] @ nll_fixed[level[c]] for c in range(len(windows))])
-    return counts, score.astype(np.int64), scoring
+    code = np.repeat(level[job, None] * nll_flat.size, width, axis=1)
+    score = np.zeros(job.size, dtype=np.int64)
+    for c, i in enumerate(job):
+        wins, wcounts = windows[i]
+        code[c, : wins.shape[0]] += _codes(inv0[c][wins], g)
+        score[c] = wcounts.astype(np.int64) @ scoring.cost[code[c, : wins.shape[0]]]
+    return code, score, scoring
 
 
 def mcmc_sweep(
-    counts: np.ndarray,
+    code: np.ndarray,
     inv: np.ndarray,
     score: np.ndarray,
     best_inv: np.ndarray,
@@ -199,33 +193,57 @@ def mcmc_sweep(
 ) -> np.ndarray:
     """Advance a batch of Metropolis chains in lock-step, in place.
 
-    Row c of every array is chain c: counts its decrypted n-gram counts,
-    inv its ciphertext->plaintext mapping, score the fixed-point cost of
-    inv, and best_inv/best_score the best mapping seen. Step j proposes
-    to transpose entries (pair_a[c, j], pair_b[c, j]) of inv; log2_u is
-    log2 of the acceptance uniform. A step is scored from the counts of
-    the n-grams holding either swapped letter. counts must be
-    C-contiguous, as it is updated through a flat view. Returns the
-    number of proposals each chain accepted.
+    Row c of every array is chain c: code indexes the cost of each
+    window of its decrypted ciphertext, inv is its ciphertext->plaintext
+    mapping, score the fixed-point cost of inv, and best_inv/best_score
+    the best mapping seen. Step j proposes to transpose entries
+    (pair_a[c, j], pair_b[c, j]) of inv; log2_u is log2 of the acceptance
+    uniform. A step rescores only the windows that hold either cipher
+    letter. code must be C-contiguous, as it is updated through a flat
+    view. Returns the number of proposals each chain accepted.
     """
     chains = np.arange(inv.shape[0])
-    flat = counts.reshape(-1)
-    base = chains[:, None] * counts.shape[1]
+    flat = code.reshape(-1)
+    base = chains[:, None] * code.shape[1]
+    rows = np.stack([pair_a, pair_b]) + scoring.row[:, None]  # (2, C, steps)
+    # per-step work arrays, [0] for letter a's windows and [1] for b's;
+    # the takes into them use mode="clip" only because numpy buffers
+    # `out` under the default mode; every index is in range
+    picked = np.empty((3, 2, chains.size, scoring.lists.shape[2]), dtype=scoring.lists.dtype)
+    wins, places, counts = picked
+    cells = np.empty(wins.shape, dtype=np.int64)
+    moves = np.empty((2, *wins.shape), dtype=np.int64)
+    after, before = moves
+    costs = np.empty_like(moves)
     accepted = np.zeros(chains.size, dtype=np.int64)
     for j in range(pair_a.shape[1]):
         a = pair_a[:, j]
         b = pair_b[:, j]
         x = inv[chains, a]
         y = inv[chains, b]
-        p = scoring.pair[x, y]
-        cells = scoring.touched[p] + base
-        moved = flat[cells]
-        delta = np.einsum("ij,ij->i", moved, scoring.dnll[scoring.row + p])
+        scoring.lists.take(rows[:, :, j], axis=1, out=picked, mode="clip")
+        np.add(wins, base, out=cells)
+        shift = (y - x)[:, None]
+        # Move letter a's windows (x -> y) in place, then letter b's
+        # (y -> x) from there: a window holding both letters is moved by
+        # both, and its two cost changes add up to the right total.
+        flat.take(cells[0], out=before[0], mode="clip")
+        np.multiply(places[0], shift, out=after[0])
+        after[0] += before[0]
+        flat[cells[0]] = after[0]
+        flat.take(cells[1], out=before[1], mode="clip")
+        np.multiply(places[1], shift, out=after[1])
+        np.subtract(before[1], after[1], out=after[1])
+        scoring.cost.take(moves, out=costs, mode="clip")
+        np.subtract(costs[0], costs[1], out=costs[0])
+        delta = np.einsum("ijk,ijk->j", counts, costs[0])
         accept = (delta < 0) | (log2_u[:, j] < -delta * scoring.unit / temperature)
+        np.copyto(after[0], before[0], where=~accept[:, None])
+        flat[cells[0]] = after[0]  # undo letter a's move where rejected
         c = np.flatnonzero(accept)
         if not c.size:
             continue
-        flat[scoring.image[p[c]] + base[c]] = moved[c]
+        flat[cells[1, c]] = after[1, c]
         inv[c, a[c]] = y[c]
         inv[c, b[c]] = x[c]
         score[c] += delta[c]
@@ -259,7 +277,18 @@ def _proposals(seed: int, chain: int, g: int, iterations: int, pair_a, pair_b, l
 
 def _crack_batch(jobs, config: AttackConfig) -> list[AttackResult]:
     """Crack each (ciphertext, seed, true key or None) job with
-    restarts+1 chains, all jobs' chains advancing as one batch."""
+    restarts+1 chains. The chains of up to _BATCH_CHAINS // (restarts+1)
+    jobs advance as one batch; no job's result depends on its batch."""
+    per_batch = max(1, _BATCH_CHAINS // (config.restarts + 1))
+    return [
+        result
+        for i in range(0, len(jobs), per_batch)
+        for result in _crack_jobs(jobs[i : i + per_batch], config)
+    ]
+
+
+def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
+    """Crack jobs with all their chains advancing as one batch."""
     model = config.model
     g = model.alphabet.size
     nll_flat = model.nll_flat
@@ -270,7 +299,7 @@ def _crack_batch(jobs, config: AttackConfig) -> list[AttackResult]:
     job_windows = [_cipher_windows(ct, model.order, g) for ct, _, _ in jobs]
     windows = [w for w in job_windows for _ in range(per_job)]
     inv = np.repeat([_frequency_start(ct, model) for ct, _, _ in jobs], per_job, axis=0)
-    counts, score, scoring = _start_chains(windows, inv, nll_flat, g)
+    code, score, scoring = _start_chains(job_windows, inv, nll_flat, g, per_job)
     best_inv = inv.copy()
     best_score = score.copy()
     accepts = np.zeros(len(windows), dtype=np.int64)
@@ -295,7 +324,7 @@ def _crack_batch(jobs, config: AttackConfig) -> list[AttackResult]:
         while lo < size:
             hi = min(size, lo + every - (done + lo) % every)
             accepts += mcmc_sweep(
-                counts, inv, score, best_inv, best_score, pair_a[:, lo:hi],
+                code, inv, score, best_inv, best_score, pair_a[:, lo:hi],
                 pair_b[:, lo:hi], log2_u[:, lo:hi], scoring, config.temperature,
             )
             lo = hi

@@ -502,6 +502,8 @@ def cmd_attack(args) -> tuple[dict, str]:
     if int(cfg["order"]) < 2:
         raise UsageError(f"attack scoring needs order >= 2, got {cfg['order']!r}")
     alphabet = _alphabet_from_cfg(cfg)
+    if alphabet.size < 2:
+        raise UsageError("attack needs at least 2 letters to propose transpositions")
     codes = _load_corpus(cfg["corpus"], alphabet)
     seed = int(cfg["seed"])
 

@@ -5,6 +5,7 @@ import pytest
 
 from unicity import (
     SUBSTITUTION,
+    Alphabet,
     AttackConfig,
     KeySpace,
     NGramModel,
@@ -12,7 +13,11 @@ from unicity import (
     mcmc_crack,
     recovery_curve,
 )
-from unicity.attack import _trial_job
+from unicity import attack
+from unicity.attack import _cipher_windows, _frequency_start, _trial_job
+from unicity.lang import fit_ngram
+
+from test_kernels import mcmc_oracle
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +31,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             AttackConfig(model=model)
 
-    def test_delta_tables_bounded(self, latin):
-        AttackConfig(model=NGramModel.uniform(latin, order=3))
-        with pytest.raises(ValueError, match="delta-table"):
-            AttackConfig(model=NGramModel.uniform(latin, order=4))
+    def test_one_letter_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="2 letters"):
+            AttackConfig(model=NGramModel.uniform(Alphabet.first_n(1), order=2))
 
     def test_parameter_validation(self, bigram_model):
         with pytest.raises(ValueError):
@@ -113,6 +117,28 @@ class TestCrack:
         assert abs(res.best_score_bits - trigram_model.sequence_nll(plain)) < 1e-6
         assert res.score_trace[-1] == res.best_score_bits
 
+    def test_order_four_matches_oracle(self, latin, english_codes, english_split, space):
+        """Scoring cost follows the ciphertext, not the 26**4 n-grams: an
+        order-4 crack runs and walks exactly as the reference walker."""
+        model = fit_ngram(english_codes, order=4, alpha=0.5, alphabet=latin)
+        _, heldout = english_split
+        key = space.sample(np.random.default_rng(8))
+        cipher = encrypt(key, heldout[400:520])
+        cfg = AttackConfig(model=model, iterations=300, restarts=0, seed=3)
+        res = mcmc_crack(cipher, cfg, key)
+        rng = np.random.default_rng((3, 0))
+        pair_a = rng.integers(0, 26, size=300)
+        raw_b = rng.integers(0, 25, size=300)
+        log2_u = np.log2(rng.random(size=300))
+        wins, wcounts = _cipher_windows(cipher, 4, 26)
+        best, score, trace = mcmc_oracle(
+            wins, wcounts, model.nll_flat, 26, _frequency_start(cipher, model),
+            pair_a, raw_b + (raw_b >= pair_a), log2_u, 1.0, 100,
+        )
+        assert np.array_equal(res.best_key.mapping, np.argsort(best))
+        assert res.best_score_bits == pytest.approx(score, rel=1e-12)
+        assert np.allclose(res.score_trace, trace, rtol=1e-12, atol=0)
+
     def test_accuracies_none_without_truth(self, bigram_model, english_split):
         _, heldout = english_split
         cfg = AttackConfig(model=bigram_model, iterations=500, restarts=0, seed=0)
@@ -185,9 +211,14 @@ class TestRecoveryCurve:
             assert 0.0 <= s.mean_plaintext_accuracy <= 1.0
         assert curve.unicity_letters > 0
 
-    def test_rows_match_standalone_cracks(self, bigram_model, english_split, space):
-        """A curve runs every trial's chains in one batch; each row is
-        still the crack of its own ciphertext under its attack seed."""
+    @pytest.mark.parametrize("batch_chains", [64, 6])
+    def test_rows_match_standalone_cracks(
+        self, bigram_model, english_split, space, monkeypatch, batch_chains
+    ):
+        """A curve runs its trials' chains in batches of up to
+        batch_chains; each row is still the crack of its own ciphertext
+        under its attack seed, whichever batch it ran in."""
+        monkeypatch.setattr(attack, "_BATCH_CHAINS", batch_chains)
         _, heldout = english_split
         cfg = AttackConfig(model=bigram_model, iterations=1500, restarts=2, seed=5)
         curve = recovery_curve([20, 90, 300], 2, cfg, heldout, space)

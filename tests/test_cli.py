@@ -359,14 +359,15 @@ class TestAttack:
         assert len(rates) == 4 and all(0.0 <= r <= 1.0 for r in rates)
         assert doc["results"]["best_restart"] in range(4)
 
-    def test_crack_order_three(self, capsys, latin, english_split):
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_crack_higher_order(self, capsys, latin, english_split, order):
         from unicity import SubstitutionKey, encrypt
 
         _, heldout = english_split
         key = SubstitutionKey.shift(26, 5)
         cipher_text = latin.decode(encrypt(key, heldout[:200]))
         code, out, _ = run_cli(
-            capsys, "attack", "--mode", "crack", "--order", "3", "--corpus",
+            capsys, "attack", "--mode", "crack", "--order", str(order), "--corpus",
             str(CORPUS_PATH), "--ciphertext", cipher_text, "--iterations", "300",
             "--restarts", "1", "--checkpoint-interval", "40", "--seed", "2",
             "--format", "json",
@@ -567,6 +568,8 @@ CONFIG_FILES = {"<config: constructions x>": {"constructions": "x"}, "<config: 5
         ["spurious", "--length", "0"],
         ["attack", "--corpus", str(CORPUS_PATH), "--order", "1"],
         ["attack", "--corpus", str(CORPUS_PATH), "--lengths", "1"],
+        ["attack", "--mode", "crack", "--alphabet-size", "1", "--corpus", str(CORPUS_PATH),
+         "--ciphertext", "ABCABCAAB", "--iterations", "50"],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
@@ -575,7 +578,7 @@ CONFIG_FILES = {"<config: constructions x>": {"constructions": "x"}, "<config: 5
         "mc-trials-0", "iterations-0", "attack-trials-0", "restarts-negative",
         "temperature-0", "alphabet-size-0", "alphabet-size-100", "config-not-int",
         "config-not-object",
-        "length-0", "attack-order-1", "attack-length-below-order",
+        "length-0", "attack-order-1", "attack-length-below-order", "attack-one-letter",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):

@@ -41,7 +41,7 @@ def run_batch(windows, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
     """Drive mcmc_sweep the way the attack does, one call per checkpoint
     interval. Returns the best mappings, each chain's trace of float
     rescored best scores, and the final state."""
-    counts, score, scoring = _start_chains(windows, inv0, nll_flat, g)
+    code, score, scoring = _start_chains(windows, inv0, nll_flat, g)
     inv = inv0.copy()
     best_inv, best_score = inv.copy(), score.copy()
     accepted = np.zeros(inv.shape[0], dtype=np.int64)
@@ -53,11 +53,11 @@ def run_batch(windows, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
     for lo in range(0, pair_a.shape[1], every):
         cols = slice(lo, lo + every)
         accepted += mcmc_sweep(
-            counts, inv, score, best_inv, best_score,
+            code, inv, score, best_inv, best_score,
             pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], scoring, temp,
         )
         trace.append(rescore(best_inv))
-    state = {"counts": counts, "inv": inv, "score": score, "best_score": best_score,
+    state = {"code": code, "inv": inv, "score": score, "best_score": best_score,
              "scoring": scoring, "accepted": accepted}
     return best_inv, np.array(trace).T, state
 
@@ -105,16 +105,20 @@ class TestMcmcSweep:
         for seed in range(3):
             _assert_matches_oracle(seed, order=3)
 
+    def test_order_four_matches_oracle(self):
+        for seed in range(2):
+            _assert_matches_oracle(seed, order=4)
+
     def test_running_score_is_exact(self):
         """The fixed-point score carried through a sweep equals a fresh
-        integer rescore of the final mapping, and the counts equal the
-        final decryption's n-gram counts."""
-        for order in (2, 3):
+        integer rescore of the final mapping, and the window codes equal
+        the final decryption's."""
+        for order in (2, 3, 4):
             windows, nll_flat, g, *_ = case = _random_batch(7, order=order, iters=600)
             _, _, state = run_batch(*case, 2.0, 100)
             assert state["accepted"].min() > 0
-            counts, score, _ = _start_chains(windows, state["inv"], nll_flat, g)
-            assert np.array_equal(state["counts"], counts)
+            code, score, _ = _start_chains(windows, state["inv"], nll_flat, g)
+            assert np.array_equal(state["code"], code)
             assert np.array_equal(state["score"], score)
 
     def test_improving_proposal_always_accepted(self):
