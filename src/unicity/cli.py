@@ -41,29 +41,32 @@ from .spurious import (
 
 CORPUS_DIR_ENV = "UNICITY_CORPUS_DIR"
 
-# Numeric parameters: (type, accepted range, test). Checked once flags and
-# --config are merged; a value of another type, not finite, or outside its
-# range is a usage error.
+# Numeric parameters: (type, accepted values, test). Checked once flags and
+# --config are merged: an integer parameter takes integers only (not
+# floats or bools), a float parameter any finite number; a value of
+# another type, not finite, or outside its range is a usage error.
 NUMERIC_PARAMS = {
-    "seed": (int, ">= 0", lambda v: v >= 0),
-    "workers": (int, ">= 1", lambda v: v >= 1),
-    "alphabet_size": (int, "in 1..26", lambda v: 1 <= v <= 26),
-    "order": (int, ">= 1", lambda v: v >= 1),
-    "alpha": (float, "> 0", lambda v: v > 0),
+    "seed": (int, "an integer >= 0", lambda v: v >= 0),
+    "workers": (int, "an integer >= 1", lambda v: v >= 1),
+    "alphabet_size": (int, "an integer in 1..26", lambda v: 1 <= v <= 26),
+    "order": (int, "an integer >= 1", lambda v: v >= 1),
+    "alpha": (float, "a number > 0", lambda v: v > 0),
     "redundancy": (float, "a finite number", lambda v: True),
-    "n_min": (int, ">= 0", lambda v: v >= 0),
+    "n_min": (int, "an integer >= 0", lambda v: v >= 0),
     "n_max": (int, "an integer", lambda v: True),
-    "n_step": (int, ">= 1", lambda v: v >= 1),
-    "rate": (float, ">= 0", lambda v: v >= 0),
-    "constructions": (int, ">= 1", lambda v: v >= 1),
-    "trials": (int, ">= 1", lambda v: v >= 1),
-    "keys_per_trial": (int, ">= 1", lambda v: v >= 1),
-    "iterations": (int, ">= 1", lambda v: v >= 1),
-    "restarts": (int, ">= 0", lambda v: v >= 0),
-    "temperature": (float, "> 0", lambda v: v > 0),
-    "checkpoint_interval": (int, ">= 1", lambda v: v >= 1),
-    "holdout_fraction": (float, "in (0, 1)", lambda v: 0 < v < 1),
+    "n_step": (int, "an integer >= 1", lambda v: v >= 1),
+    "rate": (float, "a number >= 0", lambda v: v >= 0),
+    "constructions": (int, "an integer >= 1", lambda v: v >= 1),
+    "trials": (int, "an integer >= 1", lambda v: v >= 1),
+    "keys_per_trial": (int, "an integer >= 1", lambda v: v >= 1),
+    "iterations": (int, "an integer >= 1", lambda v: v >= 1),
+    "restarts": (int, "an integer >= 0", lambda v: v >= 0),
+    "temperature": (float, "a number > 0", lambda v: v > 0),
+    "checkpoint_interval": (int, "an integer >= 1", lambda v: v >= 1),
+    "holdout_fraction": (float, "a number in (0, 1)", lambda v: 0 < v < 1),
 }
+# Every other parameter is a string; these take only the values listed.
+CHOICES = {"format": ("csv", "json"), "cipher": (SUBSTITUTION, SHIFT)}
 
 
 class UsageError(Exception):
@@ -97,18 +100,18 @@ def _load_corpus(path_str: str, alphabet: Alphabet) -> np.ndarray:
 
 def _alphabet_from_cfg(cfg: dict) -> Alphabet:
     symbols = cfg.get("alphabet_symbols")
-    if symbols:
-        return Alphabet(tuple(symbols))
-    return Alphabet.first_n(int(cfg["alphabet_size"]))
-
-
-def _parse_lengths(value) -> list[int]:
-    tokens = value if isinstance(value, (list, tuple)) else [
-        tok for tok in str(value).split(",") if tok.strip()
-    ]
+    if not symbols:
+        return Alphabet.first_n(cfg["alphabet_size"])
     try:
-        lengths = [int(tok) for tok in tokens]
-    except (TypeError, ValueError):
+        return Alphabet(tuple(symbols))
+    except ValueError as exc:
+        raise UsageError(f"alphabet-symbols: {exc}") from None
+
+
+def _parse_lengths(value: str) -> list[int]:
+    try:
+        lengths = [int(tok) for tok in value.split(",") if tok.strip()]
+    except ValueError:
         lengths = []
     if not lengths or min(lengths) < 1:
         raise UsageError(f"lengths must be comma-separated positive integers, got {value!r}")
@@ -184,14 +187,14 @@ def _write(cfg: dict, text: str) -> None:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict:
-    cfg = dict(defaults)
-    cfg.update({"seed": None, "workers": 1, "format": "csv", "out": None})
+    base = {**defaults, "seed": None, "workers": 1, "format": "csv", "out": None}
+    cfg = dict(base)
     if args.config:
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise UsageError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(overrides, dict):
             raise UsageError("config file must hold a JSON object")
@@ -203,16 +206,21 @@ def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    for key, (kind, accepted, test) in NUMERIC_PARAMS.items():
-        if cfg.get(key) is None:
+    for key, value in cfg.items():
+        if value is None and base[key] is None:
             continue
-        try:
-            value = kind(cfg[key])
-            ok = math.isfinite(value) and test(value)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
+        if key in NUMERIC_PARAMS:
+            kind, accepted, test = NUMERIC_PARAMS[key]
+            try:
+                ok = type(value) in ((int,) if kind is int else (int, float))
+                ok = ok and math.isfinite(value) and test(value)
+            except OverflowError:  # an integer past the float range
+                ok = False
+        else:
+            accepted = "one of " + ", ".join(CHOICES[key]) if key in CHOICES else "a string"
+            ok = isinstance(value, str) and value in CHOICES.get(key, (value,))
         if not ok:
-            raise UsageError(f"{key.replace('_', '-')} must be {accepted}, got {cfg[key]!r}")
+            raise UsageError(f"{key.replace('_', '-')} must be {accepted}, got {value!r}")
     if randomized and cfg["seed"] is None:
         cfg["seed"] = secrets.randbits(32)
     return cfg
@@ -646,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers", type=int, help="accepted for old configs; sweeps run serially, no effect"
     )
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
+    common.add_argument("--format", choices=CHOICES["format"], help="output format")
     common.add_argument("--out", help="output path (default: stdout)")
 
     parser = argparse.ArgumentParser(
@@ -665,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
 
     p = sub.add_parser("unicity", parents=[common], help="unicity distance and spurious-key curve")
-    p.add_argument("--cipher", choices=[SUBSTITUTION, SHIFT])
+    p.add_argument("--cipher", choices=CHOICES["cipher"])
     p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
     p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
     p.add_argument("--redundancy", type=float, help="bits per letter; overrides --corpus")
@@ -677,7 +685,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-step", dest="n_step", type=int)
 
     p = sub.add_parser("spurious", parents=[common], help="spurious-key counting experiments")
-    p.add_argument("--cipher", choices=[SUBSTITUTION, SHIFT])
+    p.add_argument("--cipher", choices=CHOICES["cipher"])
     p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
     p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
     p.add_argument("--length", help="message length N, or comma list")
@@ -688,7 +696,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys-per-trial", dest="keys_per_trial", type=int)
 
     p = sub.add_parser("channel", parents=[common], help="mutual-information and reliability sweep")
-    p.add_argument("--cipher", choices=[SUBSTITUTION, SHIFT])
+    p.add_argument("--cipher", choices=CHOICES["cipher"])
     p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
     p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
     p.add_argument("--lengths", help="comma list of message lengths")
@@ -719,10 +727,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version, or a flag argparse refused
+        return exc.code
     try:
         cfg, text = COMMANDS[args.command](args)
+        _write(cfg, text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -732,7 +743,6 @@ def main(argv=None) -> int:
     except (ExperimentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(cfg, text)
     return 0
 
 

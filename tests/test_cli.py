@@ -537,7 +537,20 @@ class TestConfigHandling:
 
 
 # argv placeholders for config files the test writes first
-CONFIG_FILES = {"<config: constructions x>": {"constructions": "x"}, "<config: 5>": 5}
+CONFIG_FILES = {
+    "<config: constructions x>": {"constructions": "x"},
+    "<config: 5>": 5,
+    "<config: alphabet_symbols 5>": {"alphabet_symbols": 5},
+    "<config: corpus 5>": {"corpus": 5},
+    "<config: ciphertext 5>": {"ciphertext": 5},
+    "<config: true_key 5>": {"true_key": 5},
+    "<config: out 5>": {"out": 5},
+    "<config: format xml>": {"format": "xml"},
+    "<config: seed 1.5>": {"seed": 1.5},
+    "<config: seed true>": {"seed": True},
+    "<config: alphabet_size 2.7>": {"alphabet_size": 2.7},
+    "<config: cipher 5>": {"cipher": 5},
+}
 
 
 @pytest.mark.parametrize(
@@ -570,6 +583,19 @@ CONFIG_FILES = {"<config: constructions x>": {"constructions": "x"}, "<config: 5
         ["attack", "--corpus", str(CORPUS_PATH), "--lengths", "1"],
         ["attack", "--mode", "crack", "--alphabet-size", "1", "--corpus", str(CORPUS_PATH),
          "--ciphertext", "ABCABCAAB", "--iterations", "50"],
+        ["corpus-stats", "--corpus", str(CORPUS_PATH), "--config", "<config: alphabet_symbols 5>"],
+        ["corpus-stats", "--config", "<config: corpus 5>"],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH),
+         "--config", "<config: ciphertext 5>"],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH), "--ciphertext", "QEB",
+         "--config", "<config: true_key 5>"],
+        ["unicity", "--redundancy", "3.2", "--config", "<config: out 5>"],
+        ["unicity", "--redundancy", "3.2", "--config", "<config: format xml>"],
+        ["spurious", "--config", "<config: seed 1.5>"],
+        ["spurious", "--config", "<config: seed true>"],
+        ["channel", "--config", "<config: alphabet_size 2.7>"],
+        ["unicity", "--redundancy", "3.2", "--config", "<config: cipher 5>"],
+        ["corpus-stats", "--corpus", str(CORPUS_PATH), "--alphabet-symbols", "AAB"],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
@@ -579,6 +605,10 @@ CONFIG_FILES = {"<config: constructions x>": {"constructions": "x"}, "<config: 5
         "temperature-0", "alphabet-size-0", "alphabet-size-100", "config-not-int",
         "config-not-object",
         "length-0", "attack-order-1", "attack-length-below-order", "attack-one-letter",
+        "config-alphabet-symbols-int", "config-corpus-int", "config-ciphertext-int",
+        "config-true-key-int", "config-out-int", "config-format-xml", "config-seed-float",
+        "config-seed-bool", "config-alphabet-size-float", "config-cipher-int",
+        "alphabet-symbols-repeated",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):

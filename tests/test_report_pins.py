@@ -1,0 +1,74 @@
+"""Report bytes pinned across commits.
+
+Each subcommand runs once at a small seeded argv, in CSV and in JSON,
+and the SHA-256 of its report must equal the digest recorded here. A
+change that alters any reported value, its formatting or its order
+breaks the pin; a deliberate change of the report records new digests.
+The corpus is given by name through UNICITY_CORPUS_DIR, so the config
+embedded in each report does not depend on where the checkout lives.
+
+Digests were taken with numpy 2.4.6. The seeded draws (PCG64 streams,
+`permutation`, `integers`) are stable across numpy releases in
+practice, but numpy does not promise it; on another numpy version a
+mismatch here should first be checked against a run of the parent
+commit.
+"""
+
+import hashlib
+
+import pytest
+
+from unicity.cli import main
+
+from conftest import CORPUS_PATH
+
+CORPUS = CORPUS_PATH.name
+CIPHERTEXT = "QEBNRFZHYOLTKCLUGRJMPLSBOQEBIXWVALDQEBNRFZHYOLTKCLUGRJMPLSBOQEBIXWVALD"
+TRUE_KEY = "XYZABCDEFGHIJKLMNOPQRSTUVW"
+
+ARGVS = {
+    "corpus-stats": ["corpus-stats", "--corpus", CORPUS, "--order", "2"],
+    "unicity": ["unicity", "--redundancy", "3.2", "--n-max", "30"],
+    "unicity-corpus": ["unicity", "--cipher", "shift", "--corpus", CORPUS, "--n-max", "5"],
+    "spurious-exhaustive": ["spurious", "--alphabet-size", "4", "--length", "3,4",
+                            "--rate", "1.0", "--constructions", "5", "--seed", "1"],
+    "spurious-monte-carlo": ["spurious", "--mode", "monte-carlo", "--alphabet-size", "4",
+                             "--length", "3", "--constructions", "3", "--trials", "5",
+                             "--keys-per-trial", "20", "--seed", "1"],
+    "channel": ["channel", "--alphabet-size", "4", "--lengths", "1,2,3", "--seed", "1"],
+    "attack-crack": ["attack", "--mode", "crack", "--corpus", CORPUS, "--ciphertext",
+                     CIPHERTEXT, "--true-key", TRUE_KEY, "--iterations", "300",
+                     "--restarts", "1", "--seed", "1"],
+    "attack-curve": ["attack", "--corpus", CORPUS, "--lengths", "25,60", "--trials", "2",
+                     "--iterations", "300", "--restarts", "1", "--seed", "1"],
+}
+
+DIGESTS = {
+    ("attack-crack", "csv"): "46ebc50d5a240dc4b72889972712ac31e62fc126c564d185d24c0264850c3688",
+    ("attack-crack", "json"): "dcda650c1e4f807aad9216e3158b55381031c52a2dffa3daec7e65717ad7a657",
+    ("attack-curve", "csv"): "d99def25d35401df7dd545e4fc88b781ccb149685847092892a148305eb8bd6a",
+    ("attack-curve", "json"): "25a131bd0e574a64563d0929c90167fdb98de192fdb1acd5033694d591e9aa37",
+    ("channel", "csv"): "5c6ad16c94a4143bffc92f126bbc30d824ce2faee945cec1cdd20bfa07558b7a",
+    ("channel", "json"): "d0e4942bd0d847bcf637069de999cd21c6dc70b86e253e6d7f5d61719aa57833",
+    ("corpus-stats", "csv"): "df75e9de62ed22edac6e2768ba5a643a9c9fb02a21c957e24c64fdd3c2a698f0",
+    ("corpus-stats", "json"): "e80b7c0a0b0b2a297f9d2b7b4f1d6e5ab9db974a80972dcb568cab2e3c372225",
+    ("spurious-exhaustive", "csv"): "bf19539ac95267e3191f6cd03c91b72274b552fb45b984c10587bad5f5985f21",
+    ("spurious-exhaustive", "json"): "fd18c153fa6eb0f311febf487df22f715352140fe8dcdcdf7c1b6a7f473d9d09",
+    ("spurious-monte-carlo", "csv"): "72b395704335a339a726bbe2254ed7db25edb6b6a2ac5d0688a055a6eb8a9ed1",
+    ("spurious-monte-carlo", "json"): "30ed878fde7a74ea8d72f23c26ff6510af767549af977a1eca60468c2b51bcd5",
+    ("unicity", "csv"): "606243a6e4733b02356b1b70b53f065283856f608b7f0b2cf02a5b9f7af85645",
+    ("unicity", "json"): "e7973aab3db89e5ff648f817c65660ac9fefcd66a97fc3765b6ed438d5bb7fb4",
+    ("unicity-corpus", "csv"): "5ed90a46db437a965ddd79378fc739e435c8cac64a01f15754fbdff42f45e34b",
+    ("unicity-corpus", "json"): "ef614bcefdd5b7c8975e2b160e88daa7d0743cf6a1464487551efb767bbcbd32",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(ARGVS))
+def test_report_bytes_pinned(capsys, monkeypatch, tmp_path, name, fmt):
+    monkeypatch.setenv("UNICITY_CORPUS_DIR", str(CORPUS_PATH.parent))
+    monkeypatch.chdir(tmp_path)
+    code = main([*ARGVS[name], "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[name, fmt]
