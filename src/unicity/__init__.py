@@ -8,32 +8,24 @@ from .lang import (
     NGramModel,
     RedundancyEstimate,
     absolute_rate,
-    entropy_rate,
     fit_ngram,
     normalize_text,
     redundancy,
-    sequence_log_likelihood,
 )
 from .cipher import (
     SHIFT,
     SUBSTITUTION,
-    EnumerationCapError,
     KeySpace,
     SubstitutionKey,
     decrypt,
     encrypt,
-    key_entropy,
-    sample_key,
 )
 from .spurious import (
-    ExactSetRecognizer,
-    LikelihoodRecognizer,
     MonteCarloEstimate,
     SpuriousExpectation,
     ToyLanguage,
     UnicityReport,
     build_toy_language,
-    count_spurious_keys,
     exhaustive_spurious_counts,
     expected_spurious_keys,
     monte_carlo_spurious,
@@ -63,10 +55,7 @@ __all__ = [
     "AttackResult",
     "ChannelReport",
     "EmptyTextError",
-    "EnumerationCapError",
-    "ExactSetRecognizer",
     "KeySpace",
-    "LikelihoodRecognizer",
     "MonteCarloEstimate",
     "NGramModel",
     "RecoveryCurveResult",
@@ -80,22 +69,17 @@ __all__ = [
     "absolute_rate",
     "build_toy_language",
     "channel_report",
-    "count_spurious_keys",
     "decrypt",
     "encrypt",
-    "entropy_rate",
     "exhaustive_spurious_counts",
     "expected_spurious_keys",
     "fit_ngram",
-    "key_entropy",
     "mcmc_crack",
     "monte_carlo_spurious",
     "mutual_information",
     "normalize_text",
     "recovery_curve",
     "redundancy",
-    "sample_key",
-    "sequence_log_likelihood",
     "unicity_distance",
     "unicity_report",
     "__version__",

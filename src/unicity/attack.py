@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cipher import KeySpace, SubstitutionKey, encrypt
-from .lang import NGramModel, _window_codes, redundancy
+from .lang import NGramModel, decode_codes, encode_rows, redundancy
 from .spurious import unicity_distance
 
 # proposals drawn per chain and stream in one generator call
@@ -86,25 +87,16 @@ def _frequency_start(ciphertext: np.ndarray, model: NGramModel) -> np.ndarray:
     return inv
 
 
-def _codes(wins: np.ndarray, g: int) -> np.ndarray:
-    """Base-g code of each row of a (windows, order) letter array."""
-    return wins @ g ** np.arange(wins.shape[1] - 1, -1, -1, dtype=np.int64)
-
-
 def _cipher_windows(ciphertext: np.ndarray, order: int, g: int):
     """Unique length-`order` windows of the ciphertext and their counts."""
-    uniq, counts = np.unique(_window_codes(ciphertext, order, g), return_counts=True)
-    wins = np.empty((uniq.size, order), dtype=np.int64)
-    rem = uniq.copy()
-    for j in range(order - 1, -1, -1):
-        wins[:, j] = rem % g
-        rem //= g
-    return wins, counts.astype(np.float64)
+    codes = encode_rows(sliding_window_view(ciphertext, order), g)
+    uniq, counts = np.unique(codes, return_counts=True)
+    return decode_codes(uniq, g, order), counts.astype(np.float64)
 
 
 def _score_bits(wins, wcounts, nll_flat, g, inv) -> float:
     """Cost in bits of decrypting the windows with mapping inv."""
-    return float(wcounts @ nll_flat[_codes(inv[wins], g)])
+    return float(wcounts @ nll_flat[encode_rows(inv[wins], g)])
 
 
 @dataclass(frozen=True)
@@ -128,11 +120,8 @@ class _Scoring:
 def _letter_windows(wins: np.ndarray, g: int):
     """(letter, window, place sum) for each window and each letter it
     holds, by letter: the place sum adds the place values at which the
-    window holds the letter."""
-    n = wins.shape[1]
-    places = np.zeros((g, wins.shape[0]), dtype=np.int64)
-    for j in range(n):
-        places[wins[:, j], np.arange(wins.shape[0])] += g ** (n - 1 - j)
+    window holds the letter, the code of the window's indicator row."""
+    places = encode_rows(wins == np.arange(g)[:, None, None], g)
     a, w = np.nonzero(places)
     return a, w, places[a, w]
 
@@ -174,7 +163,7 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
     score = np.zeros(job.size, dtype=np.int64)
     for c, i in enumerate(job):
         wins, wcounts = windows[i]
-        code[c, : wins.shape[0]] += _codes(inv0[c][wins], g)
+        code[c, : wins.shape[0]] += encode_rows(inv0[c][wins], g)
         score[c] = wcounts.astype(np.int64) @ scoring.cost[code[c, : wins.shape[0]]]
     return code, score, scoring
 

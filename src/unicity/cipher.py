@@ -2,9 +2,10 @@
 
 A key is a permutation of alphabet indices mapping plaintext symbol to
 ciphertext symbol. Key spaces carry exact key counts and key entropy
-under the uniform prior; small spaces can be enumerated exhaustively in
+under the uniform prior, sample keys uniformly, and list every key in
 lexicographic order. Each key family is a group (S_G or Z_G) acting on
-messages, and `KeySpace.orbit_classes` describes its orbits.
+messages, and `KeySpace.orbit_classes` describes its orbits; counts over
+a key space come from those orbits, not from listing its keys.
 """
 
 from __future__ import annotations
@@ -17,16 +18,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .lang import Alphabet
-
-DEFAULT_ENUMERATION_CAP = 10_000_000
+from .lang import Alphabet, encode_rows
 
 SUBSTITUTION = "substitution"
 SHIFT = "shift"
-
-
-class EnumerationCapError(RuntimeError):
-    """Key space too large to enumerate; use the Monte Carlo path."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,23 +121,15 @@ class KeySpace:
             return SubstitutionKey(rng.permutation(g).astype(np.int64))
         return SubstitutionKey.shift(g, int(rng.integers(g)))
 
-    def enumerate_mappings(
-        self, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> Iterator[tuple[int, ...]]:
+    def enumerate_mappings(self) -> Iterator[tuple[int, ...]]:
         """All key mappings in lexicographic order, as index tuples."""
-        if self.key_count > cap:
-            raise EnumerationCapError(
-                f"{self.key_count} keys exceeds cap {cap}; use Monte Carlo sampling"
-            )
         g = self.alphabet.size
         if self.kind == SUBSTITUTION:
             return iter(itertools.permutations(range(g)))
         return (tuple((np.arange(g) + off) % g) for off in range(g))
 
-    def enumerate_keys(
-        self, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> Iterator[SubstitutionKey]:
-        for mapping in self.enumerate_mappings(cap):
+    def enumerate_keys(self) -> Iterator[SubstitutionKey]:
+        for mapping in self.enumerate_mappings():
             yield SubstitutionKey(np.array(mapping, dtype=np.int64))
 
     def orbit_classes(self, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,16 +161,7 @@ class KeySpace:
             free = np.array([math.factorial(g - k) for k in range(min(n, g) + 1)],
                             dtype=object)
             stab = free[is_new.sum(axis=1)]
-        labels = pattern @ (g ** np.arange(n - 1, -1, -1, dtype=np.int64))
-        return labels, stab
-
-
-def key_entropy(space: KeySpace) -> float:
-    return space.key_entropy_bits
-
-
-def sample_key(space: KeySpace, seed) -> SubstitutionKey:
-    return space.sample(np.random.default_rng(seed))
+        return encode_rows(pattern, g), stab
 
 
 def read_keys(path: str | Path, alphabet: Alphabet) -> list[SubstitutionKey]:
@@ -194,8 +172,3 @@ def read_keys(path: str | Path, alphabet: Alphabet) -> list[SubstitutionKey]:
         if line:
             keys.append(SubstitutionKey.from_string(line, alphabet))
     return keys
-
-
-def write_keys(path: str | Path, keys: list[SubstitutionKey], alphabet: Alphabet) -> None:
-    text = "".join(k.as_string(alphabet) + "\n" for k in keys)
-    Path(path).write_text(text, encoding="utf-8")

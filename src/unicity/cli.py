@@ -16,6 +16,7 @@ range.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from .channel import channel_report
 from .cipher import SHIFT, SUBSTITUTION, KeySpace, SubstitutionKey, read_keys
 from .lang import Alphabet, EmptyTextError, absolute_rate, fit_ngram, normalize_text, redundancy
 from .spurious import (
-    ExactSetRecognizer,
     build_toy_language,
     exhaustive_spurious_counts,
     expected_spurious_keys,
@@ -136,46 +136,49 @@ def _sanitize(obj):
     """Make a structure JSON-safe: inf -> "unbounded", nan -> None."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
     if isinstance(obj, float):
         if math.isinf(obj):
             return "unbounded" if obj > 0 else "-unbounded"
         if math.isnan(obj):
             return None
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
     return obj
 
 
-def _emit(cfg: dict, command: str, header: list[str], rows: list[list], results: dict) -> str:
+def _as_row(record, **renamed) -> dict:
+    """A result dataclass's fields as a report row, with the keys given
+    as new=old renamed."""
+    row = dataclasses.asdict(record)
+    for new, old in renamed.items():
+        row[new] = row.pop(old)
+    return row
+
+
+def _emit(cfg: dict, command: str, results: dict, rows: list[dict], columns: list[str]) -> str:
+    """The report text. JSON holds the results; CSV has one line per row
+    dict, projected through the columns: "header" for the row key of the
+    same name, "header=key" for another key."""
+    config = _sanitize({k: v for k, v in cfg.items() if k != "out"})
     if cfg["format"] == "json":
         doc = {
             "tool": "unicity",
             "version": __version__,
             "command": command,
-            "config": _sanitize({k: v for k, v in cfg.items() if k != "out"}),
+            "config": config,
             "results": _sanitize(results),
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    header = [column.split("=")[0] for column in columns]
+    keys = [column.split("=")[-1] for column in columns]
     lines = [
         "# tool=unicity",
         f"# version={__version__}",
         f"# command={command}",
-        "# config="
-        + json.dumps(
-            _sanitize({k: v for k, v in cfg.items() if k != "out"}),
-            sort_keys=True,
-            separators=(",", ":"),
-        ),
+        "# config=" + json.dumps(config, sort_keys=True, separators=(",", ":")),
         ",".join(header),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(_fmt(row[key]) for key in keys) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -263,26 +266,8 @@ def cmd_corpus_stats(args) -> tuple[dict, str]:
         raise UsageError("corpus-stats requires --corpus")
     alphabet = _alphabet_from_cfg(cfg)
     codes = _load_corpus(cfg["corpus"], alphabet)
-    model = fit_ngram(codes, int(cfg["order"]), float(cfg["alpha"]), alphabet)
+    model = fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet)
     est = redundancy(model)
-    header = [
-        "order",
-        "alpha",
-        "total_symbols",
-        "R0_bits_per_letter",
-        "R_bits_per_letter",
-        "D_bits_per_letter",
-    ]
-    rows = [
-        [
-            model.order,
-            model.alpha,
-            model.total_symbols,
-            est.absolute_rate,
-            est.entropy_rate,
-            est.redundancy,
-        ]
-    ]
     counts = np.bincount(codes, minlength=alphabet.size)
     results = {
         "order": model.order,
@@ -293,7 +278,9 @@ def cmd_corpus_stats(args) -> tuple[dict, str]:
         "redundancy_bits": est.redundancy,
         "symbol_counts": {s: int(c) for s, c in zip(alphabet.symbols, counts)},
     }
-    return cfg, _emit(cfg, "corpus-stats", header, rows, results)
+    columns = ["order", "alpha", "total_symbols", "R0_bits_per_letter=absolute_rate_bits",
+               "R_bits_per_letter=entropy_rate_bits", "D_bits_per_letter=redundancy_bits"]
+    return cfg, _emit(cfg, "corpus-stats", results, [results], columns)
 
 
 def cmd_unicity(args) -> tuple[dict, str]:
@@ -316,47 +303,30 @@ def cmd_unicity(args) -> tuple[dict, str]:
         d = float(cfg["redundancy"])
     elif cfg["corpus"]:
         codes = _load_corpus(cfg["corpus"], alphabet)
-        model = fit_ngram(codes, int(cfg["order"]), float(cfg["alpha"]), alphabet)
-        d = redundancy(model).redundancy
+        d = redundancy(fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet)).redundancy
     else:
         raise UsageError("unicity requires --redundancy or --corpus")
-    h_k = space.key_entropy_bits
-    lengths = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1, int(cfg["n_step"])))
-    if d <= 0:
-        u = math.inf
-        report = unicity_report(h_k, 0.0, lengths)
-    else:
-        report = unicity_report(h_k, d, lengths)
-        u = report.unicity_letters
-    header = [
-        "N",
-        "H_K_bits",
-        "D_bits_per_letter",
-        "expected_spurious_log2",
-        "expected_spurious_approx_log2",
-        "expected_spurious_linear",
-    ]
-    rows = [
-        [row.length, h_k, d, row.log2_exact, row.log2_approx, row.linear]
-        for row in report.table
-    ]
+    lengths = list(range(cfg["n_min"], cfg["n_max"] + 1, cfg["n_step"]))
+    # zero or negative measured redundancy: no length rules a key out
+    report = unicity_report(space.key_entropy_bits, max(d, 0.0), lengths)
     results = {
         "cipher": cfg["cipher"],
-        "key_entropy_bits": h_k,
+        "key_entropy_bits": report.key_entropy_bits,
         "redundancy_bits_per_letter": d,
-        "unicity_distance_letters": u,
+        "unicity_distance_letters": report.unicity_letters,
         "first_length_below_one": report.first_length_below_one,
         "table": [
-            {
-                "N": row.length,
-                "expected_spurious_log2": row.log2_exact,
-                "expected_spurious_approx_log2": row.log2_approx,
-                "expected_spurious_linear": row.linear,
-            }
+            _as_row(row, N="length", expected_spurious_log2="log2_exact",
+                    expected_spurious_approx_log2="log2_approx",
+                    expected_spurious_linear="linear")
             for row in report.table
         ],
     }
-    return cfg, _emit(cfg, "unicity", header, rows, results)
+    rows = [{**results, **row} for row in results["table"]]
+    columns = ["N", "H_K_bits=key_entropy_bits", "D_bits_per_letter=redundancy_bits_per_letter",
+               "expected_spurious_log2", "expected_spurious_approx_log2",
+               "expected_spurious_linear"]
+    return cfg, _emit(cfg, "unicity", results, rows, columns)
 
 
 def cmd_spurious(args) -> tuple[dict, str]:
@@ -372,69 +342,54 @@ def cmd_spurious(args) -> tuple[dict, str]:
         "keys_per_trial": 100,
     }
     cfg = _resolve(args, defaults, randomized=True)
+    if cfg["mode"] not in ("exhaustive", "monte-carlo"):
+        raise UsageError(f"unknown mode {cfg['mode']!r}")
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
     h_k = space.key_entropy_bits
     r0 = absolute_rate(alphabet)
-    seed = int(cfg["seed"])
-    constructions = int(cfg["constructions"])
-    header = [
-        "N",
-        "H_K_bits",
-        "D_bits_per_letter",
-        "expected_spurious_log2",
-        "observed_mean",
-        "observed_se",
-        "trials",
-        "seed",
-    ]
+    seed = cfg["seed"]
+    constructions = cfg["constructions"]
     rows = []
-    results_rows = []
     for n in _parse_lengths(cfg["length"]):
         per_seed = np.empty(constructions, dtype=np.float64)
-        d = None
         for s in range(constructions):
             toy = build_toy_language(
                 alphabet, n, float(cfg["rate"]), _derived_seed(seed, n, s)
             )
-            d = r0 - toy.rate
             if cfg["mode"] == "exhaustive":
                 per_seed[s] = exhaustive_spurious_counts(space, toy).mean()
-            elif cfg["mode"] == "monte-carlo":
-                est = monte_carlo_spurious(
-                    space,
-                    ExactSetRecognizer(toy),
-                    n,
-                    int(cfg["trials"]),
-                    seed=_derived_seed(seed, n, s, 1),
-                    keys_per_trial=int(cfg["keys_per_trial"]),
-                )
-                per_seed[s] = est.mean
             else:
-                raise UsageError(f"unknown mode {cfg['mode']!r}")
+                per_seed[s] = monte_carlo_spurious(
+                    space,
+                    toy,
+                    n,
+                    cfg["trials"],
+                    seed=_derived_seed(seed, n, s, 1),
+                    keys_per_trial=cfg["keys_per_trial"],
+                ).mean
+        d = r0 - toy.rate
         expected = expected_spurious_keys(h_k, d, n)
-        mean = float(per_seed.mean())
-        se = (
-            float(per_seed.std(ddof=1) / math.sqrt(constructions))
-            if constructions > 1
-            else math.nan
-        )
-        reps = constructions if cfg["mode"] == "exhaustive" else constructions * int(cfg["trials"])
-        rows.append([n, h_k, d, expected.log2_exact, mean, se, reps, seed])
-        results_rows.append(
+        rows.append(
             {
                 "N": n,
                 "H_K_bits": h_k,
                 "D_bits_per_letter": d,
                 "expected_spurious_log2": expected.log2_exact,
                 "expected_spurious_linear": expected.linear,
-                "observed_mean": mean,
-                "observed_se": se,
-                "trials": reps,
+                "observed_mean": float(per_seed.mean()),
+                "observed_se": (
+                    float(per_seed.std(ddof=1) / math.sqrt(constructions))
+                    if constructions > 1
+                    else math.nan
+                ),
+                "trials": constructions * (cfg["trials"] if cfg["mode"] == "monte-carlo" else 1),
                 "seed": seed,
             }
         )
-    return cfg, _emit(cfg, "spurious", header, rows, {"rows": results_rows})
+    columns = ["N", "H_K_bits", "D_bits_per_letter", "expected_spurious_log2",
+               "observed_mean", "observed_se", "trials", "seed"]
+    return cfg, _emit(cfg, "spurious", {"rows": rows}, rows, columns)
 
 
 def cmd_channel(args) -> tuple[dict, str]:
@@ -448,40 +403,19 @@ def cmd_channel(args) -> tuple[dict, str]:
     cfg = _resolve(args, defaults, randomized=True)
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
-    seed = int(cfg["seed"])
-    header = ["N", "I_theoretical", "I_empA", "I_empB", "reliable", "N_min", "clamped"]
     rows = []
-    reports = []
     for n in _parse_lengths(cfg["lengths"]):
-        toy = build_toy_language(alphabet, n, float(cfg["rate"]), _derived_seed(seed, n))
+        toy = build_toy_language(alphabet, n, float(cfg["rate"]), _derived_seed(cfg["seed"], n))
         rep = channel_report(toy, space)
-        rows.append(
-            [
-                rep.length,
-                rep.theoretical_bits,
-                rep.empirical_a_bits,
-                rep.empirical_b_bits,
-                rep.reliable,
-                rep.min_reliable_length,
-                rep.clamped,
-            ]
+        row = _as_row(
+            rep, N="length", R0_bits_per_letter="rate_max", R_bits_per_letter="rate",
+            H_K_bits="key_entropy_bits", I_theoretical="theoretical_bits",
+            I_empA="empirical_a_bits", I_empB="empirical_b_bits", N_min="min_reliable_length",
         )
-        reports.append(
-            {
-                "N": rep.length,
-                "R0_bits_per_letter": rep.rate_max,
-                "R_bits_per_letter": rep.rate,
-                "H_K_bits": rep.key_entropy_bits,
-                "I_theoretical": rep.theoretical_bits,
-                "clamped": rep.clamped,
-                "I_empA": rep.empirical_a_bits,
-                "I_empB": rep.empirical_b_bits,
-                "empirical_vs_theoretical_gap": rep.empirical_a_bits - rep.theoretical_bits,
-                "reliable": rep.reliable,
-                "N_min": rep.min_reliable_length,
-            }
-        )
-    return cfg, _emit(cfg, "channel", header, rows, {"rows": reports})
+        row["empirical_vs_theoretical_gap"] = rep.empirical_a_bits - rep.theoretical_bits
+        rows.append(row)
+    columns = ["N", "I_theoretical", "I_empA", "I_empB", "reliable", "N_min", "clamped"]
+    return cfg, _emit(cfg, "channel", {"rows": rows}, rows, columns)
 
 
 def cmd_attack(args) -> tuple[dict, str]:
@@ -505,26 +439,29 @@ def cmd_attack(args) -> tuple[dict, str]:
         "true_key_file": None,
     }
     cfg = _resolve(args, defaults, randomized=True)
+    if cfg["mode"] not in ("crack", "curve"):
+        raise UsageError(f"unknown attack mode {cfg['mode']!r}")
     if not cfg["corpus"]:
         raise UsageError("attack requires --corpus to fit the scoring model")
-    if int(cfg["order"]) < 2:
+    if cfg["order"] < 2:
         raise UsageError(f"attack scoring needs order >= 2, got {cfg['order']!r}")
     alphabet = _alphabet_from_cfg(cfg)
     if alphabet.size < 2:
         raise UsageError("attack needs at least 2 letters to propose transpositions")
     codes = _load_corpus(cfg["corpus"], alphabet)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
 
-    if cfg["mode"] == "crack":
-        model = fit_ngram(codes, int(cfg["order"]), float(cfg["alpha"]), alphabet)
-        config = AttackConfig(
-            model=model,
-            iterations=int(cfg["iterations"]),
-            restarts=int(cfg["restarts"]),
+    def config(train):
+        return AttackConfig(
+            model=fit_ngram(train, cfg["order"], float(cfg["alpha"]), alphabet),
+            iterations=cfg["iterations"],
+            restarts=cfg["restarts"],
             seed=seed,
             temperature=float(cfg["temperature"]),
-            checkpoint_interval=int(cfg["checkpoint_interval"]),
+            checkpoint_interval=cfg["checkpoint_interval"],
         )
+
+    if cfg["mode"] == "crack":
         if cfg["ciphertext"]:
             raw = cfg["ciphertext"]
         elif cfg["ciphertext_file"]:
@@ -535,16 +472,11 @@ def cmd_attack(args) -> tuple[dict, str]:
             cipher_codes = alphabet.encode(normalize_text(raw, alphabet))
         except EmptyTextError:
             raise UsageError("ciphertext has no alphabet symbols") from None
-        true_key = _true_key(cfg, alphabet)
-        result = mcmc_crack(cipher_codes, config, true_key)
-        header = ["checkpoint", "best_score_bits"]
-        rows = [[i, v] for i, v in enumerate(result.score_trace.tolist())]
+        result = mcmc_crack(cipher_codes, config(codes), _true_key(cfg, alphabet))
         results = {
             "best_key": result.best_key.as_string(alphabet),
             "best_score_bits": result.best_score_bits,
-            "decryption": alphabet.decode(
-                result.best_key.inverse().mapping[cipher_codes]
-            ),
+            "decryption": alphabet.decode(result.best_key.inverse().mapping[cipher_codes]),
             "key_accuracy": result.key_accuracy,
             "plaintext_accuracy": result.plaintext_accuracy,
             "iterations": result.iterations,
@@ -554,13 +486,13 @@ def cmd_attack(args) -> tuple[dict, str]:
             "acceptance_rates": list(result.acceptance_rates),
             "best_restart": result.best_restart,
         }
-        return cfg, _emit(cfg, "attack", header, rows, results)
-
-    if cfg["mode"] != "curve":
-        raise UsageError(f"unknown attack mode {cfg['mode']!r}")
+        rows = [
+            {"checkpoint": i, "best_score_bits": v} for i, v in enumerate(results["score_trace"])
+        ]
+        return cfg, _emit(cfg, "attack", results, rows, ["checkpoint", "best_score_bits"])
 
     lengths = _parse_lengths(cfg["lengths"])
-    if min(lengths) < int(cfg["order"]):
+    if min(lengths) < cfg["order"]:
         raise UsageError(f"lengths must be at least the model order {cfg['order']}")
     split = int(codes.size * (1.0 - float(cfg["holdout_fraction"])))
     train, heldout = codes[:split], codes[split:]
@@ -569,73 +501,18 @@ def cmd_attack(args) -> tuple[dict, str]:
             f"held-out corpus ({heldout.size} letters) shorter than the "
             f"longest requested length {max(lengths)}"
         )
-    model = fit_ngram(train, int(cfg["order"]), float(cfg["alpha"]), alphabet)
-    config = AttackConfig(
-        model=model,
-        iterations=int(cfg["iterations"]),
-        restarts=int(cfg["restarts"]),
-        seed=seed,
-        temperature=float(cfg["temperature"]),
-        checkpoint_interval=int(cfg["checkpoint_interval"]),
-    )
-    space = KeySpace(SUBSTITUTION, alphabet)
     curve = recovery_curve(
-        lengths,
-        int(cfg["trials"]),
-        config,
-        heldout,
-        space,
+        lengths, cfg["trials"], config(train), heldout, KeySpace(SUBSTITUTION, alphabet)
     )
-    header = [
-        "N",
-        "trial",
-        "key_accuracy",
-        "plaintext_accuracy",
-        "best_score_bits",
-        "iterations",
-        "seed",
-    ]
-    rows = [
-        [
-            r.length,
-            r.trial,
-            r.key_accuracy,
-            r.plaintext_accuracy,
-            r.best_score_bits,
-            r.iterations,
-            r.seed,
-        ]
-        for r in curve.rows
-    ]
+    rows = [_as_row(r, N="length") for r in curve.rows]
     results = {
         "unicity_distance_letters": curve.unicity_letters,
-        "summaries": [
-            {
-                "N": s.length,
-                "trials": s.trials,
-                "mean_key_accuracy": s.mean_key_accuracy,
-                "mean_plaintext_accuracy": s.mean_plaintext_accuracy,
-                "se_plaintext_accuracy": s.se_plaintext_accuracy,
-                "median_plaintext_accuracy": s.median_plaintext_accuracy,
-                "min_plaintext_accuracy": s.min_plaintext_accuracy,
-                "max_plaintext_accuracy": s.max_plaintext_accuracy,
-            }
-            for s in curve.summaries
-        ],
-        "rows": [
-            {
-                "N": r.length,
-                "trial": r.trial,
-                "key_accuracy": r.key_accuracy,
-                "plaintext_accuracy": r.plaintext_accuracy,
-                "best_score_bits": r.best_score_bits,
-                "iterations": r.iterations,
-                "seed": r.seed,
-            }
-            for r in curve.rows
-        ],
+        "summaries": [_as_row(s, N="length") for s in curve.summaries],
+        "rows": rows,
     }
-    return cfg, _emit(cfg, "attack", header, rows, results)
+    columns = ["N", "trial", "key_accuracy", "plaintext_accuracy", "best_score_bits",
+               "iterations", "seed"]
+    return cfg, _emit(cfg, "attack", results, rows, columns)
 
 
 COMMANDS = {
@@ -669,36 +546,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--order", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
-    p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
+    p.add_argument("--alphabet-size", type=int)
+    p.add_argument("--alphabet-symbols")
 
     p = sub.add_parser("unicity", parents=[common], help="unicity distance and spurious-key curve")
     p.add_argument("--cipher", choices=CHOICES["cipher"])
-    p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
-    p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
+    p.add_argument("--alphabet-size", type=int)
+    p.add_argument("--alphabet-symbols")
     p.add_argument("--redundancy", type=float, help="bits per letter; overrides --corpus")
     p.add_argument("--corpus")
     p.add_argument("--order", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--n-step", dest="n_step", type=int)
+    p.add_argument("--n-min", type=int)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-step", type=int)
 
     p = sub.add_parser("spurious", parents=[common], help="spurious-key counting experiments")
     p.add_argument("--cipher", choices=CHOICES["cipher"])
-    p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
-    p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
+    p.add_argument("--alphabet-size", type=int)
+    p.add_argument("--alphabet-symbols")
     p.add_argument("--length", help="message length N, or comma list")
     p.add_argument("--rate", type=float, help="toy-language bits per letter")
     p.add_argument("--constructions", type=int, help="number of toy-language draws")
     p.add_argument("--mode", choices=["exhaustive", "monte-carlo"])
     p.add_argument("--trials", type=int, help="Monte Carlo trials per construction")
-    p.add_argument("--keys-per-trial", dest="keys_per_trial", type=int)
+    p.add_argument("--keys-per-trial", type=int)
 
     p = sub.add_parser("channel", parents=[common], help="mutual-information and reliability sweep")
     p.add_argument("--cipher", choices=CHOICES["cipher"])
-    p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
-    p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
+    p.add_argument("--alphabet-size", type=int)
+    p.add_argument("--alphabet-symbols")
     p.add_argument("--lengths", help="comma list of message lengths")
     p.add_argument("--rate", type=float)
 
@@ -707,21 +584,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--order", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--alphabet-size", dest="alphabet_size", type=int)
-    p.add_argument("--alphabet-symbols", dest="alphabet_symbols")
+    p.add_argument("--alphabet-size", type=int)
+    p.add_argument("--alphabet-symbols")
     p.add_argument("--iterations", type=int)
     p.add_argument("--restarts", type=int)
     p.add_argument("--temperature", type=float)
-    p.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=int)
+    p.add_argument("--checkpoint-interval", type=int)
     p.add_argument("--lengths", help="comma list of ciphertext lengths (curve mode)")
     p.add_argument("--trials", type=int, help="trials per length (curve mode)")
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
+    p.add_argument("--holdout-fraction", type=float)
     p.add_argument("--ciphertext", help="inline ciphertext (crack mode)")
-    p.add_argument("--ciphertext-file", dest="ciphertext_file")
-    p.add_argument("--true-key", dest="true_key", help="alphabet-image key string")
-    p.add_argument(
-        "--true-key-file", dest="true_key_file", help="file with one key per line"
-    )
+    p.add_argument("--ciphertext-file")
+    p.add_argument("--true-key", help="alphabet-image key string")
+    p.add_argument("--true-key-file", help="file with one key per line")
 
     return parser
 
@@ -734,10 +609,7 @@ def main(argv=None) -> int:
     try:
         cfg, text = COMMANDS[args.command](args)
         _write(cfg, text)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExperimentError, ValueError) as exc:

@@ -8,18 +8,14 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
-
-MODEL_FORMAT = "unicity-ngram-model"
-MODEL_FORMAT_VERSION = 1
+from numpy.lib.stride_tricks import sliding_window_view
 
 # refuse count tables above this many cells (G**order)
 _MAX_TABLE_CELLS = 1 << 26
@@ -61,12 +57,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def index_of(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
     def encode(self, text: str) -> np.ndarray:
         """Text -> int64 code array. Every character must be a symbol."""
@@ -175,19 +165,8 @@ class NGramModel:
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 1 or codes.shape[0] < self.order:
             raise ValueError(f"sequence shorter than model order {self.order}")
-        idx = _window_codes(codes, self.order, self.alphabet.size)
+        idx = encode_rows(sliding_window_view(codes, self.order), self.alphabet.size)
         return float(self.nll_flat[idx].sum())
-
-    def sequence_nll_many(self, rows: np.ndarray) -> np.ndarray:
-        """Batch sequence_nll over the rows of a (B, L) code array."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] < self.order:
-            raise ValueError(f"sequences shorter than model order {self.order}")
-        g = self.alphabet.size
-        wins = np.lib.stride_tricks.sliding_window_view(rows, self.order, axis=1)
-        pows = g ** np.arange(self.order - 1, -1, -1, dtype=np.int64)
-        idx = wins @ pows
-        return self.nll_flat[idx].sum(axis=1)
 
     @classmethod
     def uniform(cls, alphabet: Alphabet, order: int = 1) -> "NGramModel":
@@ -196,42 +175,20 @@ class NGramModel:
         counts = np.ones((g ** (order - 1), g), dtype=np.int64)
         return cls(alphabet, order, 0.5, counts, total_symbols=0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_FORMAT_VERSION,
-            "alphabet": list(self.alphabet.symbols),
-            "order": self.order,
-            "alpha": self.alpha,
-            "total_symbols": self.total_symbols,
-            "counts": self.counts.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "NGramModel":
-        if doc.get("format") != MODEL_FORMAT:
-            raise ValueError("not a model document")
-        if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model version {doc.get('version')}")
-        alphabet = Alphabet(tuple(doc["alphabet"]))
-        g = alphabet.size
-        order = int(doc["order"])
-        counts = np.array(doc["counts"], dtype=np.int64).reshape(g ** (order - 1), g)
-        return cls(alphabet, order, float(doc["alpha"]), counts, int(doc["total_symbols"]))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NGramModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+def encode_rows(rows: np.ndarray, g: int) -> np.ndarray:
+    """Base-g code of each row along the last axis, first letter most
+    significant: the index of a message or window among all G**width."""
+    rows = np.asarray(rows)
+    return rows @ g ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
-def _window_codes(codes: np.ndarray, order: int, g: int) -> np.ndarray:
-    """Base-g integer code of every length-`order` window."""
-    wins = np.lib.stride_tricks.sliding_window_view(codes, order)
-    pows = g ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    return wins @ pows
+def decode_codes(codes: np.ndarray, g: int, width: int) -> np.ndarray:
+    """Inverse of encode_rows: the (len(codes), width) letter rows."""
+    rows = np.empty((np.size(codes), width), dtype=np.int64)
+    rem = np.array(codes, dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        rem, rows[:, j] = np.divmod(rem, g)
+    return rows
 
 
 def fit_ngram(codes: np.ndarray, order: int, alpha: float = 0.5,
@@ -257,22 +214,13 @@ def fit_ngram(codes: np.ndarray, order: int, alpha: float = 0.5,
         raise ValueError("corpus code out of alphabet range")
     if g**order > _MAX_TABLE_CELLS:
         raise ValueError(f"count table G**order = {g**order} too large")
-    flat = _window_codes(codes, order, g)
+    flat = encode_rows(sliding_window_view(codes, order), g)
     counts = np.bincount(flat, minlength=g**order).astype(np.int64)
     counts = counts.reshape(g ** (order - 1), g)
     return NGramModel(alphabet, order, alpha, counts, total_symbols=int(codes.size))
-
-
-def entropy_rate(model: NGramModel) -> float:
-    return model.entropy_rate()
 
 
 def redundancy(model: NGramModel) -> RedundancyEstimate:
     r0 = absolute_rate(model.alphabet)
     r = model.entropy_rate()
     return RedundancyEstimate(absolute_rate=r0, entropy_rate=r, redundancy=r0 - r)
-
-
-def sequence_log_likelihood(model: NGramModel, codes: np.ndarray) -> float:
-    """-log2 P(sequence) under the model, in bits."""
-    return model.sequence_nll(codes)

@@ -10,9 +10,9 @@ agrees with the true key on every letter of the message decrypts it to
 the message itself, so it is always spurious.
 
 Exact counts for a toy language come from the orbits of the key group
-(`KeySpace.orbit_classes`), without enumerating keys. A general
-recognizer, such as a likelihood threshold, is counted by enumerating
-every key; Monte Carlo estimation covers spaces too large for that.
+(`KeySpace.orbit_classes`), without enumerating keys, at every G up to
+26. A seeded Monte Carlo estimate, which samples wrong keys, is kept
+beside them as an independent check.
 """
 
 from __future__ import annotations
@@ -23,16 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cipher import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
-    KeySpace,
-    SubstitutionKey,
-)
-from .lang import Alphabet, NGramModel
+from .cipher import KeySpace
+from .lang import Alphabet, decode_codes, encode_rows
 
 _MAX_CODE_BITS = 62
-_CHUNK_KEYS = 1 << 16
 
 
 def unicity_distance(key_entropy_bits: float, redundancy_bits: float) -> float:
@@ -117,19 +111,9 @@ class ToyLanguage:
     @cached_property
     def messages(self) -> np.ndarray:
         """(M, length) symbol-code rows, in sorted code order."""
-        g = self.alphabet.size
-        out = np.empty((self.size, self.length), dtype=np.int64)
-        rem = self.codes.copy()
-        for j in range(self.length - 1, -1, -1):
-            out[:, j] = rem % g
-            rem //= g
+        out = decode_codes(self.codes, self.alphabet.size, self.length)
         out.flags.writeable = False
         return out
-
-    def encode_rows(self, rows: np.ndarray) -> np.ndarray:
-        g = self.alphabet.size
-        pows = g ** np.arange(self.length - 1, -1, -1, dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64) @ pows
 
     def contains_codes(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized membership test on base-G message codes."""
@@ -186,99 +170,6 @@ def build_toy_language(
     return ToyLanguage(alphabet=alphabet, length=length, codes=codes, seed=seed)
 
 
-class ExactSetRecognizer:
-    """Meaningful means member of an explicit toy-language set."""
-
-    def __init__(self, language: ToyLanguage):
-        self.language = language
-
-    def accepts(self, codes: np.ndarray) -> bool:
-        arr = np.asarray(codes, dtype=np.int64)
-        if arr.size != self.language.length:
-            return False
-        return bool(self.accept_rows(arr[None, :])[0])
-
-    def accept_rows(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape[1] != self.language.length:
-            return np.zeros(rows.shape[0], dtype=bool)
-        return self.language.contains_codes(self.language.encode_rows(rows))
-
-    def sample_message(self, rng: np.random.Generator) -> np.ndarray:
-        return self.language.sample_message(rng)
-
-
-class LikelihoodRecognizer:
-    """Meaningful means per-letter -log2 likelihood at or below a
-    threshold (bits per letter) under an n-gram model."""
-
-    def __init__(self, model: NGramModel, threshold_bits_per_letter: float):
-        self.model = model
-        self.threshold = threshold_bits_per_letter
-
-    @classmethod
-    def calibrate(
-        cls, model: NGramModel, heldout_codes: np.ndarray, margin_bits: float = 1.0
-    ) -> "LikelihoodRecognizer":
-        """Threshold = held-out mean per-letter cross-entropy + margin."""
-        heldout_codes = np.asarray(heldout_codes, dtype=np.int64)
-        per_letter = model.sequence_nll(heldout_codes) / heldout_codes.size
-        return cls(model, per_letter + margin_bits)
-
-    def accepts(self, codes: np.ndarray) -> bool:
-        arr = np.asarray(codes, dtype=np.int64)
-        return self.model.sequence_nll(arr) / arr.size <= self.threshold
-
-    def accept_rows(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        return self.model.sequence_nll_many(rows) / rows.shape[1] <= self.threshold
-
-
-def count_spurious_keys(
-    space: KeySpace,
-    recognizer,
-    ciphertext: np.ndarray,
-    true_key: SubstitutionKey,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> int:
-    """Number of wrong keys whose decryption the recognizer accepts.
-
-    The true key is excluded. A zero-length ciphertext is vacuously
-    consistent with every key, so the count is key_count - 1.
-    """
-    ciphertext = np.asarray(ciphertext, dtype=np.int64)
-    if ciphertext.size == 0:
-        return space.key_count - 1
-    if space.key_count > cap:
-        raise EnumerationCapError(
-            f"{space.key_count} keys exceeds cap {cap}; use monte_carlo_spurious"
-        )
-    true_row = np.asarray(true_key.mapping)
-    count = 0
-    mappings = space.enumerate_mappings(cap)
-    while True:
-        chunk = list(_take(mappings, _CHUNK_KEYS))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.int64)
-        inv = np.argsort(arr, axis=1)
-        plain = inv[:, ciphertext]
-        accepted = recognizer.accept_rows(plain)
-        count += int(accepted.sum())
-        is_true = (arr == true_row).all(axis=1)
-        if is_true.any():
-            count -= int(accepted[is_true].sum())
-    return count
-
-
-def _take(iterator, n):
-    for _ in range(n):
-        try:
-            yield next(iterator)
-        except StopIteration:
-            return
-
-
 def exhaustive_spurious_counts(space: KeySpace, language: ToyLanguage) -> np.ndarray:
     """Spurious-key count of every member message, whatever the true key.
 
@@ -304,7 +195,7 @@ class MonteCarloEstimate:
 
 def monte_carlo_spurious(
     space: KeySpace,
-    recognizer,
+    language: ToyLanguage,
     length: int,
     trials: int,
     seed: int,
@@ -312,19 +203,20 @@ def monte_carlo_spurious(
 ) -> MonteCarloEstimate:
     """Sampling stand-in for exhaustive counting.
 
-    Each trial draws a plaintext from the recognizer's language and a
-    true key, then samples keys uniformly, redrawing any that equal the
-    true key, until keys_per_trial wrong keys are in. Their acceptance
-    fraction is scaled up to the key_count - 1 wrong keys. Per-trial
-    generators derive from (seed, trial), so the result does not depend
-    on evaluation order.
+    Each trial draws a member message of the language and a true key,
+    then samples keys uniformly, redrawing any that equal the true key,
+    until keys_per_trial wrong keys are in. The fraction of them that
+    decrypt the ciphertext to a member is scaled up to the key_count - 1
+    wrong keys. Per-trial generators derive from (seed, trial), so the
+    result does not depend on evaluation order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if keys_per_trial < 1:
         raise ValueError("keys_per_trial must be >= 1")
-    if not hasattr(recognizer, "sample_message"):
-        raise TypeError("recognizer must provide sample_message for Monte Carlo")
+    if language.length != length:
+        raise ValueError(f"language messages have length {language.length}, expected {length}")
+    g = language.alphabet.size
     wrong_total = space.key_count - 1
     if wrong_total == 0:  # a one-key space has no wrong key to sample
         return MonteCarloEstimate(
@@ -333,11 +225,7 @@ def monte_carlo_spurious(
     estimates = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        plain = recognizer.sample_message(rng)
-        if plain.size != length:
-            raise ValueError(
-                f"recognizer messages have length {plain.size}, expected {length}"
-            )
+        plain = language.sample_message(rng)
         true_key = space.sample(rng)
         ciphertext = true_key.mapping[plain]
         accepted = 0
@@ -347,7 +235,7 @@ def monte_carlo_spurious(
             if np.array_equal(cand.mapping, true_key.mapping):
                 continue
             wrong += 1
-            if recognizer.accepts(cand.inverse().mapping[ciphertext]):
+            if language.contains_codes(encode_rows(cand.inverse().mapping[ciphertext], g)):
                 accepted += 1
         estimates[t] = wrong_total * (accepted / keys_per_trial)
     mean = float(estimates.mean())

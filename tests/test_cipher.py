@@ -8,15 +8,12 @@ from unicity import (
     SHIFT,
     SUBSTITUTION,
     Alphabet,
-    EnumerationCapError,
     KeySpace,
     SubstitutionKey,
     decrypt,
     encrypt,
-    key_entropy,
-    sample_key,
 )
-from unicity.cipher import read_keys, write_keys
+from unicity.cipher import read_keys
 
 
 class TestKeys:
@@ -57,7 +54,7 @@ class TestKeys:
         rng = np.random.default_rng(4)
         keys = [SubstitutionKey(rng.permutation(26)) for _ in range(5)]
         path = tmp_path / "keys.txt"
-        write_keys(path, keys, latin)
+        path.write_text("".join(f"{k.as_string(latin)}\n\n" for k in keys))
         assert read_keys(path, latin) == keys
 
 
@@ -126,8 +123,9 @@ class TestKeySpace:
 class TestSampling:
     def test_deterministic(self, latin):
         space = KeySpace(SUBSTITUTION, latin)
-        assert sample_key(space, 42) == sample_key(space, 42)
-        assert sample_key(space, 42) != sample_key(space, 43)
+        draw = lambda seed: space.sample(np.random.default_rng(seed))
+        assert draw(42) == draw(42)
+        assert draw(42) != draw(43)
 
     def test_uniform_over_small_space(self):
         space = KeySpace(SUBSTITUTION, Alphabet.first_n(3))
@@ -175,11 +173,6 @@ class TestEnumeration:
         assert count == 3_628_800
         assert count == round(2 ** space.key_entropy_bits)
 
-    def test_cap_exceeded(self, latin):
-        space = KeySpace(SUBSTITUTION, latin)
-        with pytest.raises(EnumerationCapError):
-            list(space.enumerate_keys())
-
     def test_exact_counts_under_cap(self):
         for g in range(1, 7):
             ab = Alphabet.first_n(g)
@@ -188,7 +181,3 @@ class TestEnumeration:
                 keys = list(space.enumerate_keys())
                 assert len(keys) == space.key_count
                 assert len(set(keys)) == space.key_count
-
-    def test_key_entropy_helper(self, latin):
-        space = KeySpace(SHIFT, latin)
-        assert key_entropy(space) == space.key_entropy_bits

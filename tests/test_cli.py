@@ -379,12 +379,11 @@ class TestAttack:
 
     def test_crack_key_from_file(self, capsys, tmp_path, latin, english_split):
         from unicity import SubstitutionKey, encrypt
-        from unicity.cipher import write_keys
 
         _, heldout = english_split
         key = SubstitutionKey.shift(26, 5)
         key_path = tmp_path / "key.txt"
-        write_keys(key_path, [key], latin)
+        key_path.write_text(key.as_string(latin) + "\n")
         cipher_text = latin.decode(encrypt(key, heldout[:300]))
         code, out, _ = run_cli(
             capsys,

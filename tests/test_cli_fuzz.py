@@ -10,6 +10,7 @@ example starts heavy work.
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -152,14 +153,18 @@ def invocations(draw):
 @given(invocations())
 def test_main_keeps_exit_code_contract(invocation):
     argv, config = invocation
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # an --out value names a file in here
         if config is not None:
-            path = Path(tmp) / "cfg.json"
-            path.write_text(json.dumps(config))
-            argv = [*argv, "--config", str(path)]
+            Path("cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", "cfg.json"]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
     assert code in (0, 1, 2), (argv, config, code)
     assert "Traceback" not in err.getvalue()
     if code:

@@ -1,4 +1,4 @@
-import json
+import itertools
 import math
 import random
 import string
@@ -14,8 +14,8 @@ from unicity import (
     fit_ngram,
     normalize_text,
     redundancy,
-    sequence_log_likelihood,
 )
+from unicity.lang import decode_codes, encode_rows
 
 
 class TestAlphabet:
@@ -160,7 +160,7 @@ class TestSequenceLikelihood:
     def test_uniform_two_symbols(self):
         ab = Alphabet.first_n(2)
         model = NGramModel.uniform(ab, order=1)
-        assert abs(sequence_log_likelihood(model, ab.encode("AB")) - 2.0) < 1e-12
+        assert abs(model.sequence_nll(ab.encode("AB")) - 2.0) < 1e-12
 
     def test_rare_symbol_cost_grows_as_alpha_shrinks(self):
         ab = Alphabet.first_n(2)
@@ -168,7 +168,7 @@ class TestSequenceLikelihood:
         nlls = []
         for alpha in (0.5, 1e-3, 1e-6):
             model = fit_ngram(codes, 1, alpha=alpha, alphabet=ab)
-            nll = sequence_log_likelihood(model, ab.encode("B"))
+            nll = model.sequence_nll(ab.encode("B"))
             assert math.isfinite(nll)
             nlls.append(nll)
         assert nlls[0] < nlls[1] < nlls[2]
@@ -188,44 +188,31 @@ class TestSequenceLikelihood:
                         ctx = ctx * 26 + int(seq[j])
                     product *= probs[ctx, int(seq[i])]
                 expected = -math.log2(product)
-                got = sequence_log_likelihood(model, seq)
+                got = model.sequence_nll(seq)
                 assert abs(got - expected) < 1e-9
 
     def test_too_short(self, trigram_model, latin):
         with pytest.raises(ValueError):
-            sequence_log_likelihood(trigram_model, latin.encode("AB"))
+            trigram_model.sequence_nll(latin.encode("AB"))
 
     def test_monotone_in_length(self, bigram_model, latin):
         rng = np.random.default_rng(17)
         seq = rng.integers(0, 26, size=60)
-        whole = sequence_log_likelihood(bigram_model, seq)
+        whole = bigram_model.sequence_nll(seq)
         for cut in (2, 10, 30, 59):
-            assert whole >= sequence_log_likelihood(bigram_model, seq[:cut]) - 1e-12
-            assert whole >= sequence_log_likelihood(bigram_model, seq[cut - 2 :]) - 1e-12
+            assert whole >= bigram_model.sequence_nll(seq[:cut]) - 1e-12
+            assert whole >= bigram_model.sequence_nll(seq[cut - 2 :]) - 1e-12
 
-    def test_batch_matches_single(self, bigram_model):
-        rng = np.random.default_rng(21)
-        rows = rng.integers(0, 26, size=(8, 12))
-        batch = bigram_model.sequence_nll_many(rows)
-        for i in range(8):
-            assert abs(batch[i] - bigram_model.sequence_nll(rows[i])) < 1e-9
+class TestBaseCodes:
+    def test_round_trip(self):
+        rng = np.random.default_rng(6)
+        for g, width in ((2, 1), (4, 3), (26, 5), (26, 13)):
+            rows = rng.integers(0, g, size=(50, width))
+            codes = encode_rows(rows, g)
+            assert np.array_equal(decode_codes(codes, g, width), rows)
 
-
-class TestModelSerialization:
-    def test_round_trip_lossless(self, tmp_path, latin, english_codes):
-        model = fit_ngram(english_codes[:5000], 2, alpha=0.25, alphabet=latin)
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = NGramModel.load(path)
-        assert loaded.order == model.order
-        assert loaded.alpha == model.alpha
-        assert loaded.total_symbols == model.total_symbols
-        assert loaded.alphabet.symbols == model.alphabet.symbols
-        assert np.array_equal(loaded.counts, model.counts)
-        assert loaded.to_json_dict() == model.to_json_dict()
-
-    def test_rejects_foreign_document(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError):
-            NGramModel.load(path)
+    def test_codes_count_in_base_g(self):
+        """Codes enumerate every row in lexicographic order."""
+        rows = np.array(list(itertools.product(range(3), repeat=4)))
+        assert np.array_equal(encode_rows(rows, 3), np.arange(81))
+        assert encode_rows(np.array([1, 0, 2]), 10) == 102

@@ -9,13 +9,8 @@ from brute_force import key_tuples, small_instances, spurious_count
 from unicity import (
     SUBSTITUTION,
     Alphabet,
-    EnumerationCapError,
-    ExactSetRecognizer,
     KeySpace,
-    LikelihoodRecognizer,
     build_toy_language,
-    count_spurious_keys,
-    encrypt,
     exhaustive_spurious_counts,
     expected_spurious_keys,
     monte_carlo_spurious,
@@ -151,60 +146,11 @@ class TestToyLanguage:
         assert not toy.contains_codes(outside).any()
 
 
-class TestRecognizers:
-    def test_exact_set(self):
-        toy = build_toy_language(Alphabet.first_n(4), 3, 1.0, seed=5)
-        rec = ExactSetRecognizer(toy)
-        member = toy.messages[0]
-        assert rec.accepts(member)
-        assert not rec.accepts(np.array([0, 0]))  # wrong length
-        outside_code = np.setdiff1d(np.arange(64), toy.codes)[0]
-        row = np.array([outside_code // 16, (outside_code // 4) % 4, outside_code % 4])
-        assert not rec.accepts(row)
-
-    def test_likelihood_threshold(self, bigram_model, english_split):
-        _, heldout = english_split
-        rec = LikelihoodRecognizer.calibrate(bigram_model, heldout, margin_bits=1.0)
-        assert rec.accepts(heldout[100:160])
-        rng = np.random.default_rng(11)
-        rejected = sum(
-            not rec.accepts(rng.integers(0, 26, size=60)) for _ in range(20)
-        )
-        assert rejected >= 18
-
-    def test_likelihood_batch_agrees(self, bigram_model, english_split):
-        _, heldout = english_split
-        rec = LikelihoodRecognizer.calibrate(bigram_model, heldout)
-        rng = np.random.default_rng(12)
-        rows = rng.integers(0, 26, size=(10, 40))
-        batch = rec.accept_rows(rows)
-        singles = np.array([rec.accepts(r) for r in rows])
-        assert np.array_equal(batch, singles)
-
-
 class TestCountSpurious:
-    def _setup(self, seed=0):
-        ab = Alphabet.first_n(4)
-        space = KeySpace(SUBSTITUTION, ab)
-        toy = build_toy_language(ab, 3, 1.0, seed=seed)
-        return ab, space, toy
-
-    def test_empty_ciphertext(self):
-        _, space, toy = self._setup()
-        rec = ExactSetRecognizer(toy)
-        key = space.sample(np.random.default_rng(0))
-        assert count_spurious_keys(space, rec, np.array([], dtype=np.int64), key) == 23
-
     def test_full_space_language_always_23(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 2.0, seed=1)  # all 64 messages
-        rec = ExactSetRecognizer(toy)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            key = space.sample(rng)
-            plain = toy.sample_message(rng)
-            assert count_spurious_keys(space, rec, encrypt(key, plain), key) == 23
         assert (exhaustive_spurious_counts(space, toy) == 23).all()
 
     def test_matrix_matches_pure_python_oracle(self):
@@ -220,25 +166,6 @@ class TestCountSpurious:
             for key in keys:
                 for mi, msg in enumerate(toy.messages.tolist()):
                     assert got[mi] == spurious_count(keys, members, key, msg)
-
-    def test_count_matches_matrix_entries(self):
-        _, space, toy = self._setup(seed=8)
-        rec = ExactSetRecognizer(toy)
-        counts = exhaustive_spurious_counts(space, toy)
-        keys = list(space.enumerate_keys())
-        rng = np.random.default_rng(3)
-        for _ in range(12):
-            ki = int(rng.integers(len(keys)))
-            mi = int(rng.integers(toy.size))
-            cipher = encrypt(keys[ki], toy.messages[mi])
-            assert count_spurious_keys(space, rec, cipher, keys[ki]) == counts[mi]
-
-    def test_cap_exceeded(self, latin):
-        space = KeySpace(SUBSTITUTION, latin)
-        toy = build_toy_language(Alphabet.first_n(4), 3, 1.0, seed=0)
-        rec = ExactSetRecognizer(toy)
-        with pytest.raises(EnumerationCapError):
-            count_spurious_keys(space, rec, np.array([0, 1, 2]), space.sample(np.random.default_rng(0)))
 
     def test_grand_mean_matches_combinatorial_expectation(self):
         """Independent oracle for the exhaustive counter: under uniform
@@ -275,59 +202,49 @@ class TestMonteCarlo:
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=21)
-        rec = ExactSetRecognizer(toy)
         exact = exhaustive_spurious_counts(space, toy).mean()
-        est = monte_carlo_spurious(space, rec, 3, trials=400, seed=5)
+        est = monte_carlo_spurious(space, toy, 3, trials=400, seed=5)
         assert est.se > 0
         assert abs(est.mean - exact) <= 3 * est.se
 
-    def test_one_key_space_has_no_spurious_keys(self):
+    def test_one_key_space_has_no_spurious_keys(self, monkeypatch):
         """With a single key there is no wrong key to draw: the estimate
-        is 0 and no candidate is sampled."""
+        is 0 and no key is sampled."""
+        one = Alphabet.first_n(1)
+        toy = build_toy_language(one, 3, 0.0, seed=0)  # the one message AAA
 
-        class OneLetter:
-            def sample_message(self, rng):
-                return np.zeros(3, dtype=np.int64)
+        def no_draw(space, rng):
+            raise AssertionError("no key should be drawn")
 
-            def accepts(self, codes):
-                raise AssertionError("no candidate should be scored")
-
-        space = KeySpace(SUBSTITUTION, Alphabet.first_n(1))
-        est = monte_carlo_spurious(space, OneLetter(), 3, trials=4, seed=0)
+        monkeypatch.setattr(KeySpace, "sample", no_draw)
+        est = monte_carlo_spurious(KeySpace(SUBSTITUTION, one), toy, 3, trials=4, seed=0)
         assert (est.mean, est.se) == (0.0, 0.0)
 
     def test_single_trial_se_undefined(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=22)
-        est = monte_carlo_spurious(space, ExactSetRecognizer(toy), 3, trials=1, seed=0)
+        est = monte_carlo_spurious(space, toy, 3, trials=1, seed=0)
         assert math.isnan(est.se)
 
     def test_deterministic(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=23)
-        rec = ExactSetRecognizer(toy)
-        a = monte_carlo_spurious(space, rec, 3, trials=37, seed=77)
-        b = monte_carlo_spurious(space, rec, 3, trials=37, seed=77)
+        a = monte_carlo_spurious(space, toy, 3, trials=37, seed=77)
+        b = monte_carlo_spurious(space, toy, 3, trials=37, seed=77)
         assert a == b
-
-    def test_requires_sampling_recognizer(self, bigram_model):
-        space = KeySpace(SUBSTITUTION, Alphabet.latin())
-        rec = LikelihoodRecognizer(bigram_model, 5.0)
-        with pytest.raises(TypeError):
-            monte_carlo_spurious(space, rec, 10, trials=2, seed=0)
 
     def test_trials_validation(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=1)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, ExactSetRecognizer(toy), 3, trials=0, seed=0)
+            monte_carlo_spurious(space, toy, 3, trials=0, seed=0)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(
-                space, ExactSetRecognizer(toy), 3, trials=2, seed=0, keys_per_trial=0
-            )
+            monte_carlo_spurious(space, toy, 3, trials=2, seed=0, keys_per_trial=0)
+        with pytest.raises(ValueError):
+            monte_carlo_spurious(space, toy, 4, trials=2, seed=0)  # not its length
 
 
 class TestUnicityReport:
