@@ -16,7 +16,6 @@ range.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -149,7 +148,7 @@ def _sanitize(obj):
 def _as_row(record, **renamed) -> dict:
     """A result dataclass's fields as a report row, with the keys given
     as new=old renamed."""
-    row = dataclasses.asdict(record)
+    row = dict(vars(record))
     for new, old in renamed.items():
         row[new] = row.pop(old)
     return row

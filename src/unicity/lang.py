@@ -175,9 +175,10 @@ class NGramModel:
         counts = np.ones((g ** (order - 1), g), dtype=np.int64)
         return cls(alphabet, order, 0.5, counts, total_symbols=0)
 
+
 def encode_rows(rows: np.ndarray, g: int) -> np.ndarray:
     """Base-g code of each row along the last axis, first letter most
-    significant: the index of a message or window among all G**width."""
+    significant: the index of a message or window among all g**width."""
     rows = np.asarray(rows)
     return rows @ g ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
 
