@@ -57,7 +57,6 @@ VALUES = {
     "lengths": st.sampled_from(["2,3", "1", "a,b", ""]),  # attack: ATTACK_LENGTHS
     "rate": st.floats(0, 2.5),
     "constructions": SMALL,
-    "mode": st.sampled_from(["other"]),  # replaced by MODES per subcommand
     "trials": SMALL,
     "keys_per_trial": SMALL,
     "iterations": st.integers(1, 40),
@@ -71,6 +70,7 @@ VALUES = {
     "true_key_file": st.sampled_from([None, "missing.txt"]),
 }
 
+# modes per subcommand; each list ends with one the subcommand refuses
 MODES = {
     "spurious": st.sampled_from(["exhaustive", "monte-carlo", "curve"]),
     "attack": st.sampled_from(["crack", "curve", "exhaustive"]),
@@ -110,7 +110,7 @@ def value(command, key):
         return MODES[command]
     if command == "attack" and key == "lengths":
         return ATTACK_LENGTHS
-    return VALUES.get(key, SMALL)
+    return VALUES.get(key, SMALL)  # SMALL for the unknown key
 
 
 def flag_value(command, key):
