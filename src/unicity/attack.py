@@ -244,24 +244,32 @@ def mcmc_sweep(
     return accepted
 
 
-def _proposals(seed: int, chain: int, g: int, iterations: int, pair_a, pair_b, log2_u):
-    """Fill the rows pair_a, pair_b and log2_u with one chain's proposals
-    a block at a time, yielding each block's size. The blocks join up to
-    what three whole calls on default_rng((seed, chain)) would draw: all
-    first letters, then all raw second letters, then all uniforms."""
-    sizes = [min(_BLOCK, iterations - start) for start in range(0, iterations, _BLOCK)]
+def _proposals(seed: int, chain: int, g: int, sizes: list[int], pair_a, pair_b, log2_u):
+    """Yield, for each block of the given sizes in turn, the slice of the
+    rows pair_a, pair_b and log2_u that holds one chain's proposals for
+    it. The rows are refilled _BLOCK proposals at a time, so no block may
+    cross a multiple of _BLOCK. The fills join up to what three whole
+    calls on default_rng((seed, chain)) would draw: all first letters,
+    then all raw second letters, then all uniforms."""
+    iterations = sum(sizes)
+    fills = [min(_BLOCK, iterations - start) for start in range(0, iterations, _BLOCK)]
     gen_a, gen_b, gen_u = (np.random.default_rng((seed, chain)) for _ in range(3))
-    for size in sizes:
+    for size in fills:
         gen_b.integers(0, g, size=size)
     gen_u.bit_generator.state = gen_b.bit_generator.state
-    for size in sizes:
+    for size in fills:
         gen_u.integers(0, g - 1, size=size)
+    start = 0
     for size in sizes:
-        pair_a[:size] = gen_a.integers(0, g, size=size)
-        raw_b = gen_b.integers(0, g - 1, size=size)
-        pair_b[:size] = raw_b + (raw_b >= pair_a[:size])
-        np.log2(gen_u.random(out=log2_u[:size]), out=log2_u[:size])
-        yield size
+        lo = start % _BLOCK
+        if lo == 0:
+            fill = fills[start // _BLOCK]
+            pair_a[:fill] = gen_a.integers(0, g, size=fill)
+            raw_b = gen_b.integers(0, g - 1, size=fill)
+            pair_b[:fill] = raw_b + (raw_b >= pair_a[:fill])
+            np.log2(gen_u.random(out=log2_u[:fill]), out=log2_u[:fill])
+        yield slice(lo, lo + size)
+        start += size
 
 
 def _crack_batch(jobs, config: AttackConfig) -> list[AttackResult]:
@@ -299,31 +307,30 @@ def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
     trace[:, 0] = bits
     recorded = best_score.copy()
     col = 1
+    # blocks of at most _BLOCK steps, cut at every checkpoint
+    cuts = np.union1d(np.arange(_BLOCK, iters, _BLOCK), np.arange(every, iters, every))
+    sizes = np.diff(cuts, prepend=0, append=iters).tolist()
     done = 0
     pair_a = np.empty((len(windows), min(_BLOCK, iters)), dtype=np.int64)
     pair_b = np.empty_like(pair_a)
     log2_u = np.empty(pair_a.shape)
     seeds = [seed for _, seed, _ in jobs for _ in range(per_job)]
     streams = [
-        _proposals(seed, c % per_job, g, iters, pair_a[c], pair_b[c], log2_u[c])
+        _proposals(seed, c % per_job, g, sizes, pair_a[c], pair_b[c], log2_u[c])
         for c, seed in enumerate(seeds)
     ]
-    for size, *_ in zip(*streams):  # every chain draws blocks of one size
-        lo = 0
-        while lo < size:
-            hi = min(size, lo + every - (done + lo) % every)
-            accepts += mcmc_sweep(
-                code, inv, score, best_inv, best_score, pair_a[:, lo:hi],
-                pair_b[:, lo:hi], log2_u[:, lo:hi], scoring, config.temperature,
-            )
-            lo = hi
-            if (done + hi) % every == 0 or done + hi == iters:
-                for c in np.flatnonzero(best_score != recorded):
-                    bits[c] = _score_bits(*windows[c], nll_flat, g, best_inv[c])
-                recorded[:] = best_score
-                trace[:, col] = bits
-                col += 1
-        done += size
+    for block, *_ in zip(*streams):  # every chain yields the same slice
+        accepts += mcmc_sweep(
+            code, inv, score, best_inv, best_score, pair_a[:, block], pair_b[:, block],
+            log2_u[:, block], scoring, config.temperature,
+        )
+        done += block.stop - block.start
+        if done % every == 0 or done == iters:
+            for c in np.flatnonzero(best_score != recorded):
+                bits[c] = _score_bits(*windows[c], nll_flat, g, best_inv[c])
+            recorded[:] = best_score
+            trace[:, col] = bits
+            col += 1
 
     results = []
     for j, (ciphertext, seed, true_key) in enumerate(jobs):

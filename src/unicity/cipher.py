@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -164,11 +163,7 @@ class KeySpace:
         return encode_rows(pattern, g), stab
 
 
-def read_keys(path: str | Path, alphabet: Alphabet) -> list[SubstitutionKey]:
+def parse_keys(text: str, alphabet: Alphabet) -> list[SubstitutionKey]:
     """Key file format: one alphabet-image string per line."""
-    keys = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            keys.append(SubstitutionKey.from_string(line, alphabet))
-    return keys
+    return [SubstitutionKey.from_string(line.strip(), alphabet)
+            for line in text.splitlines() if line.strip()]

@@ -1,16 +1,22 @@
 """Command-line entry point.
 
-Subcommands: corpus-stats, unicity, spurious, channel, attack. Every
-run resolves its parameters from built-in defaults, then an optional
-JSON config file (--config), then explicit flags, and embeds the fully
-resolved config and all seeds in the output, so reruns with the same
-embedded config are byte-identical. Randomized commands that are not
-given a seed draw one and record it.
+Subcommands: corpus-stats, unicity, spurious, channel, attack. Each
+parameter is declared once, in PARAMS (type, accepted values, test,
+help), and each subcommand's defaults once, in COMMANDS; the parser,
+each subcommand's --help and the checks are built from the two tables.
+The flag --x-y sets the config key x_y. Every run resolves its
+parameters from built-in defaults, then an optional JSON config file
+(--config), then explicit flags, and embeds the fully resolved config
+and all seeds in the output, so reruns with the same embedded config
+are byte-identical. Randomized commands that are not given a seed draw
+one and record it. A relative input path (--corpus, --ciphertext-file,
+--true-key-file) that does not exist is looked up under the directory
+in UNICITY_CORPUS_DIR.
 
 Exit codes: 0 success, 1 experiment-level failure (infeasible
 parameters, a held-out corpus too short for the requested lengths),
 2 usage or I/O error, including a parameter of the wrong type or out of
-range.
+range and an input file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from . import __version__
 from .attack import AttackConfig, mcmc_crack, recovery_curve
 from .channel import channel_report
-from .cipher import SHIFT, SUBSTITUTION, KeySpace, SubstitutionKey, read_keys
+from .cipher import SHIFT, SUBSTITUTION, KeySpace, SubstitutionKey, parse_keys
 from .lang import Alphabet, EmptyTextError, absolute_rate, fit_ngram, normalize_text, redundancy
 from .spurious import (
     build_toy_language,
@@ -40,32 +46,54 @@ from .spurious import (
 
 CORPUS_DIR_ENV = "UNICITY_CORPUS_DIR"
 
-# Numeric parameters: (type, accepted values, test). Checked once flags and
-# --config are merged: an integer parameter takes integers only (not
-# floats or bools), a float parameter any finite number; a value of
-# another type, not finite, or outside its range is a usage error.
-NUMERIC_PARAMS = {
-    "seed": (int, "an integer >= 0", lambda v: v >= 0),
-    "workers": (int, "an integer >= 1", lambda v: v >= 1),
-    "alphabet_size": (int, "an integer in 1..26", lambda v: 1 <= v <= 26),
-    "order": (int, "an integer >= 1", lambda v: v >= 1),
-    "alpha": (float, "a number > 0", lambda v: v > 0),
-    "redundancy": (float, "a finite number", lambda v: True),
-    "n_min": (int, "an integer >= 0", lambda v: v >= 0),
-    "n_max": (int, "an integer", lambda v: True),
-    "n_step": (int, "an integer >= 1", lambda v: v >= 1),
-    "rate": (float, "a number >= 0", lambda v: v >= 0),
-    "constructions": (int, "an integer >= 1", lambda v: v >= 1),
-    "trials": (int, "an integer >= 1", lambda v: v >= 1),
-    "keys_per_trial": (int, "an integer >= 1", lambda v: v >= 1),
-    "iterations": (int, "an integer >= 1", lambda v: v >= 1),
-    "restarts": (int, "an integer >= 0", lambda v: v >= 0),
-    "temperature": (float, "a number > 0", lambda v: v > 0),
-    "checkpoint_interval": (int, "an integer >= 1", lambda v: v >= 1),
-    "holdout_fraction": (float, "a number in (0, 1)", lambda v: 0 < v < 1),
+# Every parameter: (type, accepted values, test, help). Values are checked
+# once flags and --config are merged: an integer parameter takes integers
+# only (not floats or bools), a float parameter any finite number, a
+# string parameter a string; a value of another type, not finite, or
+# failing its test is a usage error. A test of None accepts every value
+# of the type; a parameter whose default is a tuple (COMMANDS) takes only
+# the tuple's members.
+PARAMS = {
+    "seed": (int, "an integer >= 0", lambda v: v >= 0, "RNG seed (recorded in the output)"),
+    "workers": (int, "an integer >= 1", lambda v: v >= 1,
+                "accepted for old configs; sweeps run serially, no effect"),
+    "format": (str, "a string", None, "output format"),
+    "out": (str, "a string", None, "output path (default: stdout)"),
+    "corpus": (str, "a string", None, "training text file"),
+    "order": (int, "an integer >= 1", lambda v: v >= 1, "n-gram model order"),
+    "alpha": (float, "a number > 0", lambda v: v > 0, "additive smoothing of n-gram counts"),
+    "alphabet_size": (int, "an integer in 1..26", lambda v: 1 <= v <= 26,
+                      "alphabet of the first N Latin letters"),
+    "alphabet_symbols": (str, "a string", None,
+                         "alphabet as a string of distinct symbols; overrides --alphabet-size"),
+    "cipher": (str, "a string", None, "cipher family"),
+    "redundancy": (float, "a finite number", None, "bits per letter; overrides --corpus"),
+    "n_min": (int, "an integer >= 0", lambda v: v >= 0, "first length of the curve"),
+    "n_max": (int, "an integer", None, "last length of the curve"),
+    "n_step": (int, "an integer >= 1", lambda v: v >= 1, "step between lengths"),
+    "length": (str, "a string", None, "message length N, or comma list"),
+    "lengths": (str, "a string", None, "comma list of message or ciphertext lengths"),
+    "rate": (float, "a number >= 0", lambda v: v >= 0, "toy-language bits per letter"),
+    "constructions": (int, "an integer >= 1", lambda v: v >= 1, "number of toy-language draws"),
+    "mode": (str, "a string", None, "what to run"),
+    "trials": (int, "an integer >= 1", lambda v: v >= 1,
+               "Monte Carlo trials per construction, or attack trials per length"),
+    "keys_per_trial": (int, "an integer >= 1", lambda v: v >= 1,
+                       "wrong keys sampled per Monte Carlo trial"),
+    "iterations": (int, "an integer >= 1", lambda v: v >= 1, "Metropolis steps per chain"),
+    "restarts": (int, "an integer >= 0", lambda v: v >= 0, "extra chains per ciphertext"),
+    "temperature": (float, "a number > 0", lambda v: v > 0, "Metropolis temperature"),
+    "checkpoint_interval": (int, "an integer >= 1", lambda v: v >= 1,
+                            "steps between score-trace checkpoints"),
+    "holdout_fraction": (float, "a number in (0, 1)", lambda v: 0 < v < 1,
+                         "share of the corpus held out for test ciphertexts (curve mode)"),
+    "ciphertext": (str, "a string", None, "inline ciphertext (crack mode)"),
+    "ciphertext_file": (str, "a string", None, "ciphertext file (crack mode)"),
+    "true_key": (str, "a string", None, "alphabet-image key string"),
+    "true_key_file": (str, "a string", None, "file with one key per line"),
 }
-# Every other parameter is a string; these take only the values listed.
-CHOICES = {"format": ("csv", "json"), "cipher": (SUBSTITUTION, SHIFT)}
+# the flags every subcommand takes, with their defaults
+COMMON = {"seed": None, "workers": 1, "format": ("csv", "json"), "out": None}
 
 
 class UsageError(Exception):
@@ -76,25 +104,26 @@ class ExperimentError(Exception):
     pass
 
 
-def _find_corpus(path_str: str) -> Path:
+def _read_input(path_str: str) -> str:
+    """The text of an input file. A relative path that does not exist
+    here is looked up under UNICITY_CORPUS_DIR."""
     path = Path(path_str)
-    if path.exists():
-        return path
     env_dir = os.environ.get(CORPUS_DIR_ENV)
-    if env_dir and not path.is_absolute():
-        candidate = Path(env_dir) / path
-        if candidate.exists():
-            return candidate
-    raise UsageError(f"corpus file not found: {path_str}")
-
-
-def _load_corpus(path_str: str, alphabet: Alphabet) -> np.ndarray:
-    raw = _find_corpus(path_str).read_text(encoding="utf-8")
+    if env_dir and not path.is_absolute() and not path.exists():
+        path = Path(env_dir) / path
     try:
-        text = normalize_text(raw, alphabet)
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"file not found: {path_str}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"file is not UTF-8 text: {path_str}: {exc}") from None
+
+
+def _encode_text(raw: str, alphabet: Alphabet, what: str) -> np.ndarray:
+    try:
+        return alphabet.encode(normalize_text(raw, alphabet))
     except EmptyTextError:
-        raise UsageError(f"corpus has no alphabet symbols: {path_str}") from None
-    return alphabet.encode(text)
+        raise UsageError(f"{what} has no alphabet symbols") from None
 
 
 def _alphabet_from_cfg(cfg: dict) -> Alphabet:
@@ -189,8 +218,9 @@ def _write(cfg: dict, text: str) -> None:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict:
-    base = {**defaults, "seed": None, "workers": 1, "format": "csv", "out": None}
-    cfg = dict(base)
+    """Defaults, then --config, then flags; every value checked once."""
+    declared = {**COMMON, **defaults}
+    cfg = {k: v[0] if isinstance(v, tuple) else v for k, v in declared.items()}
     if args.config:
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -209,18 +239,17 @@ def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict
         if value is not None:
             cfg[key] = value
     for key, value in cfg.items():
-        if value is None and base[key] is None:
+        default = declared[key]
+        if value is None and default is None:
             continue
-        if key in NUMERIC_PARAMS:
-            kind, accepted, test = NUMERIC_PARAMS[key]
-            try:
-                ok = type(value) in ((int,) if kind is int else (int, float))
-                ok = ok and math.isfinite(value) and test(value)
-            except OverflowError:  # an integer past the float range
-                ok = False
-        else:
-            accepted = "one of " + ", ".join(CHOICES[key]) if key in CHOICES else "a string"
-            ok = isinstance(value, str) and value in CHOICES.get(key, (value,))
+        kind, accepted, test, _ = PARAMS[key]
+        if isinstance(default, tuple):
+            accepted, test = "one of " + ", ".join(default), default.__contains__
+        try:
+            ok = type(value) in ((int, float) if kind is float else (kind,))
+            ok = ok and (kind is str or math.isfinite(value)) and (test is None or test(value))
+        except OverflowError:  # an integer past the float range
+            ok = False
         if not ok:
             raise UsageError(f"{key.replace('_', '-')} must be {accepted}, got {value!r}")
     if randomized and cfg["seed"] is None:
@@ -234,7 +263,7 @@ def _true_key(cfg: dict, alphabet: Alphabet) -> SubstitutionKey | None:
         if cfg["true_key"]:
             key = SubstitutionKey.from_string(cfg["true_key"], alphabet)
         elif cfg["true_key_file"]:
-            keys = read_keys(_find_corpus(cfg["true_key_file"]), alphabet)
+            keys = parse_keys(_read_input(cfg["true_key_file"]), alphabet)
             if len(keys) != 1:
                 raise UsageError("key file must hold exactly one key for crack mode")
             key = keys[0]
@@ -252,19 +281,11 @@ def _true_key(cfg: dict, alphabet: Alphabet) -> SubstitutionKey | None:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_corpus_stats(args) -> tuple[dict, str]:
-    defaults = {
-        "corpus": None,
-        "order": 3,
-        "alpha": 0.5,
-        "alphabet_size": 26,
-        "alphabet_symbols": None,
-    }
-    cfg = _resolve(args, defaults, randomized=False)
+def cmd_corpus_stats(cfg: dict) -> str:
     if not cfg["corpus"]:
         raise UsageError("corpus-stats requires --corpus")
     alphabet = _alphabet_from_cfg(cfg)
-    codes = _load_corpus(cfg["corpus"], alphabet)
+    codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
     model = fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet)
     est = redundancy(model)
     counts = np.bincount(codes, minlength=alphabet.size)
@@ -279,29 +300,16 @@ def cmd_corpus_stats(args) -> tuple[dict, str]:
     }
     columns = ["order", "alpha", "total_symbols", "R0_bits_per_letter=absolute_rate_bits",
                "R_bits_per_letter=entropy_rate_bits", "D_bits_per_letter=redundancy_bits"]
-    return cfg, _emit(cfg, "corpus-stats", results, [results], columns)
+    return _emit(cfg, "corpus-stats", results, [results], columns)
 
 
-def cmd_unicity(args) -> tuple[dict, str]:
-    defaults = {
-        "cipher": SUBSTITUTION,
-        "alphabet_size": 26,
-        "alphabet_symbols": None,
-        "redundancy": None,
-        "corpus": None,
-        "order": 3,
-        "alpha": 0.5,
-        "n_min": 0,
-        "n_max": 50,
-        "n_step": 1,
-    }
-    cfg = _resolve(args, defaults, randomized=False)
+def cmd_unicity(cfg: dict) -> str:
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
     if cfg["redundancy"] is not None:
         d = float(cfg["redundancy"])
     elif cfg["corpus"]:
-        codes = _load_corpus(cfg["corpus"], alphabet)
+        codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
         d = redundancy(fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet)).redundancy
     else:
         raise UsageError("unicity requires --redundancy or --corpus")
@@ -325,24 +333,10 @@ def cmd_unicity(args) -> tuple[dict, str]:
     columns = ["N", "H_K_bits=key_entropy_bits", "D_bits_per_letter=redundancy_bits_per_letter",
                "expected_spurious_log2", "expected_spurious_approx_log2",
                "expected_spurious_linear"]
-    return cfg, _emit(cfg, "unicity", results, rows, columns)
+    return _emit(cfg, "unicity", results, rows, columns)
 
 
-def cmd_spurious(args) -> tuple[dict, str]:
-    defaults = {
-        "cipher": SUBSTITUTION,
-        "alphabet_size": 4,
-        "alphabet_symbols": None,
-        "length": "3",
-        "rate": 1.0,
-        "constructions": 100,
-        "mode": "exhaustive",
-        "trials": 50,
-        "keys_per_trial": 100,
-    }
-    cfg = _resolve(args, defaults, randomized=True)
-    if cfg["mode"] not in ("exhaustive", "monte-carlo"):
-        raise UsageError(f"unknown mode {cfg['mode']!r}")
+def cmd_spurious(cfg: dict) -> str:
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
     h_k = space.key_entropy_bits
@@ -353,53 +347,34 @@ def cmd_spurious(args) -> tuple[dict, str]:
     for n in _parse_lengths(cfg["length"]):
         per_seed = np.empty(constructions, dtype=np.float64)
         for s in range(constructions):
-            toy = build_toy_language(
-                alphabet, n, float(cfg["rate"]), _derived_seed(seed, n, s)
-            )
+            toy = build_toy_language(alphabet, n, float(cfg["rate"]), _derived_seed(seed, n, s))
             if cfg["mode"] == "exhaustive":
                 per_seed[s] = exhaustive_spurious_counts(space, toy).mean()
             else:
                 per_seed[s] = monte_carlo_spurious(
-                    space,
-                    toy,
-                    n,
-                    cfg["trials"],
-                    seed=_derived_seed(seed, n, s, 1),
+                    space, toy, n, cfg["trials"], seed=_derived_seed(seed, n, s, 1),
                     keys_per_trial=cfg["keys_per_trial"],
                 ).mean
         d = r0 - toy.rate
         expected = expected_spurious_keys(h_k, d, n)
-        rows.append(
-            {
-                "N": n,
-                "H_K_bits": h_k,
-                "D_bits_per_letter": d,
-                "expected_spurious_log2": expected.log2_exact,
-                "expected_spurious_linear": expected.linear,
-                "observed_mean": float(per_seed.mean()),
-                "observed_se": (
-                    float(per_seed.std(ddof=1) / math.sqrt(constructions))
-                    if constructions > 1
-                    else math.nan
-                ),
-                "trials": constructions * (cfg["trials"] if cfg["mode"] == "monte-carlo" else 1),
-                "seed": seed,
-            }
-        )
+        se = per_seed.std(ddof=1) / math.sqrt(constructions) if constructions > 1 else math.nan
+        rows.append({
+            "N": n,
+            "H_K_bits": h_k,
+            "D_bits_per_letter": d,
+            "expected_spurious_log2": expected.log2_exact,
+            "expected_spurious_linear": expected.linear,
+            "observed_mean": float(per_seed.mean()),
+            "observed_se": float(se),
+            "trials": constructions * (cfg["trials"] if cfg["mode"] == "monte-carlo" else 1),
+            "seed": seed,
+        })
     columns = ["N", "H_K_bits", "D_bits_per_letter", "expected_spurious_log2",
                "observed_mean", "observed_se", "trials", "seed"]
-    return cfg, _emit(cfg, "spurious", {"rows": rows}, rows, columns)
+    return _emit(cfg, "spurious", {"rows": rows}, rows, columns)
 
 
-def cmd_channel(args) -> tuple[dict, str]:
-    defaults = {
-        "cipher": SUBSTITUTION,
-        "alphabet_size": 4,
-        "alphabet_symbols": None,
-        "lengths": "1,2,3",
-        "rate": 1.0,
-    }
-    cfg = _resolve(args, defaults, randomized=True)
+def cmd_channel(cfg: dict) -> str:
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
     rows = []
@@ -414,32 +389,10 @@ def cmd_channel(args) -> tuple[dict, str]:
         row["empirical_vs_theoretical_gap"] = rep.empirical_a_bits - rep.theoretical_bits
         rows.append(row)
     columns = ["N", "I_theoretical", "I_empA", "I_empB", "reliable", "N_min", "clamped"]
-    return cfg, _emit(cfg, "channel", {"rows": rows}, rows, columns)
+    return _emit(cfg, "channel", {"rows": rows}, rows, columns)
 
 
-def cmd_attack(args) -> tuple[dict, str]:
-    defaults = {
-        "mode": "curve",
-        "corpus": None,
-        "order": 2,
-        "alpha": 0.5,
-        "alphabet_size": 26,
-        "alphabet_symbols": None,
-        "iterations": 20_000,
-        "restarts": 5,
-        "temperature": 1.0,
-        "checkpoint_interval": 100,
-        "lengths": "25,100,400,1600",
-        "trials": 5,
-        "holdout_fraction": 0.5,
-        "ciphertext": None,
-        "ciphertext_file": None,
-        "true_key": None,
-        "true_key_file": None,
-    }
-    cfg = _resolve(args, defaults, randomized=True)
-    if cfg["mode"] not in ("crack", "curve"):
-        raise UsageError(f"unknown attack mode {cfg['mode']!r}")
+def cmd_attack(cfg: dict) -> str:
     if not cfg["corpus"]:
         raise UsageError("attack requires --corpus to fit the scoring model")
     if cfg["order"] < 2:
@@ -447,7 +400,7 @@ def cmd_attack(args) -> tuple[dict, str]:
     alphabet = _alphabet_from_cfg(cfg)
     if alphabet.size < 2:
         raise UsageError("attack needs at least 2 letters to propose transpositions")
-    codes = _load_corpus(cfg["corpus"], alphabet)
+    codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
     seed = cfg["seed"]
 
     def config(train):
@@ -464,13 +417,10 @@ def cmd_attack(args) -> tuple[dict, str]:
         if cfg["ciphertext"]:
             raw = cfg["ciphertext"]
         elif cfg["ciphertext_file"]:
-            raw = _find_corpus(cfg["ciphertext_file"]).read_text(encoding="utf-8")
+            raw = _read_input(cfg["ciphertext_file"])
         else:
             raise UsageError("attack --mode crack requires --ciphertext or --ciphertext-file")
-        try:
-            cipher_codes = alphabet.encode(normalize_text(raw, alphabet))
-        except EmptyTextError:
-            raise UsageError("ciphertext has no alphabet symbols") from None
+        cipher_codes = _encode_text(raw, alphabet, "ciphertext")
         result = mcmc_crack(cipher_codes, config(codes), _true_key(cfg, alphabet))
         results = {
             "best_key": result.best_key.as_string(alphabet),
@@ -488,7 +438,7 @@ def cmd_attack(args) -> tuple[dict, str]:
         rows = [
             {"checkpoint": i, "best_score_bits": v} for i, v in enumerate(results["score_trace"])
         ]
-        return cfg, _emit(cfg, "attack", results, rows, ["checkpoint", "best_score_bits"])
+        return _emit(cfg, "attack", results, rows, ["checkpoint", "best_score_bits"])
 
     lengths = _parse_lengths(cfg["lengths"])
     if min(lengths) < cfg["order"]:
@@ -511,28 +461,63 @@ def cmd_attack(args) -> tuple[dict, str]:
     }
     columns = ["N", "trial", "key_accuracy", "plaintext_accuracy", "best_score_bits",
                "iterations", "seed"]
-    return cfg, _emit(cfg, "attack", results, rows, columns)
+    return _emit(cfg, "attack", results, rows, columns)
 
 
+# Per subcommand: (run, randomized, help, defaults). A tuple default lists
+# the accepted values, and its first member is the default. Randomized
+# commands draw and record a seed when none is given.
 COMMANDS = {
-    "corpus-stats": cmd_corpus_stats,
-    "unicity": cmd_unicity,
-    "spurious": cmd_spurious,
-    "channel": cmd_channel,
-    "attack": cmd_attack,
+    "corpus-stats": (cmd_corpus_stats, False, "corpus entropy and redundancy", {
+        "corpus": None, "order": 3, "alpha": 0.5, "alphabet_size": 26, "alphabet_symbols": None,
+    }),
+    "unicity": (cmd_unicity, False, "unicity distance and spurious-key curve", {
+        "cipher": (SUBSTITUTION, SHIFT), "alphabet_size": 26, "alphabet_symbols": None,
+        "redundancy": None, "corpus": None, "order": 3, "alpha": 0.5,
+        "n_min": 0, "n_max": 50, "n_step": 1,
+    }),
+    "spurious": (cmd_spurious, True, "spurious-key counting experiments", {
+        "cipher": (SUBSTITUTION, SHIFT), "alphabet_size": 4, "alphabet_symbols": None,
+        "length": "3", "rate": 1.0, "constructions": 100, "mode": ("exhaustive", "monte-carlo"),
+        "trials": 50, "keys_per_trial": 100,
+    }),
+    "channel": (cmd_channel, True, "mutual-information and reliability sweep", {
+        "cipher": (SUBSTITUTION, SHIFT), "alphabet_size": 4, "alphabet_symbols": None,
+        "lengths": "1,2,3", "rate": 1.0,
+    }),
+    "attack": (cmd_attack, True, "MCMC key recovery", {
+        "mode": ("curve", "crack"), "corpus": None, "order": 2, "alpha": 0.5,
+        "alphabet_size": 26, "alphabet_symbols": None, "iterations": 20_000, "restarts": 5,
+        "temperature": 1.0, "checkpoint_interval": 100, "lengths": "25,100,400,1600",
+        "trials": 5, "holdout_fraction": 0.5, "ciphertext": None, "ciphertext_file": None,
+        "true_key": None, "true_key_file": None,
+    }),
 }
+
+
+def _flag_specs(defaults: dict) -> list[tuple[str, dict]]:
+    """The add_argument calls for the parameters with these defaults."""
+    specs = []
+    for key, default in defaults.items():
+        kind, _, _, text = PARAMS[key]
+        choices = default if isinstance(default, tuple) else None
+        if choices or default is not None:
+            text += f" (default: {choices[0] if choices else default})"
+        flag = "--" + key.replace("_", "-")
+        specs.append((flag, {"type": kind, "choices": choices, "help": text}))
+    return specs
+
+
+# made once, so that building a parser only replays them
+COMMON_FLAGS = _flag_specs(COMMON)
+FLAGS = {name: _flag_specs(defaults) for name, (_, _, _, defaults) in COMMANDS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its fields")
-    common.add_argument("--seed", type=int, help="RNG seed (recorded in the output)")
-    common.add_argument(
-        "--workers", type=int, help="accepted for old configs; sweeps run serially, no effect"
-    )
-    common.add_argument("--format", choices=CHOICES["format"], help="output format")
-    common.add_argument("--out", help="output path (default: stdout)")
-
+    for flag, spec in COMMON_FLAGS:
+        common.add_argument(flag, **spec)
     parser = argparse.ArgumentParser(
         prog="unicity",
         description="Redundancy, spurious keys, channel view, and MCMC attacks "
@@ -540,63 +525,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"unicity {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("corpus-stats", parents=[common], help="corpus entropy and redundancy")
-    p.add_argument("--corpus")
-    p.add_argument("--order", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--alphabet-symbols")
-
-    p = sub.add_parser("unicity", parents=[common], help="unicity distance and spurious-key curve")
-    p.add_argument("--cipher", choices=CHOICES["cipher"])
-    p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--alphabet-symbols")
-    p.add_argument("--redundancy", type=float, help="bits per letter; overrides --corpus")
-    p.add_argument("--corpus")
-    p.add_argument("--order", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--n-step", type=int)
-
-    p = sub.add_parser("spurious", parents=[common], help="spurious-key counting experiments")
-    p.add_argument("--cipher", choices=CHOICES["cipher"])
-    p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--alphabet-symbols")
-    p.add_argument("--length", help="message length N, or comma list")
-    p.add_argument("--rate", type=float, help="toy-language bits per letter")
-    p.add_argument("--constructions", type=int, help="number of toy-language draws")
-    p.add_argument("--mode", choices=["exhaustive", "monte-carlo"])
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per construction")
-    p.add_argument("--keys-per-trial", type=int)
-
-    p = sub.add_parser("channel", parents=[common], help="mutual-information and reliability sweep")
-    p.add_argument("--cipher", choices=CHOICES["cipher"])
-    p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--alphabet-symbols")
-    p.add_argument("--lengths", help="comma list of message lengths")
-    p.add_argument("--rate", type=float)
-
-    p = sub.add_parser("attack", parents=[common], help="MCMC key recovery")
-    p.add_argument("--mode", choices=["crack", "curve"])
-    p.add_argument("--corpus")
-    p.add_argument("--order", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--alphabet-symbols")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--checkpoint-interval", type=int)
-    p.add_argument("--lengths", help="comma list of ciphertext lengths (curve mode)")
-    p.add_argument("--trials", type=int, help="trials per length (curve mode)")
-    p.add_argument("--holdout-fraction", type=float)
-    p.add_argument("--ciphertext", help="inline ciphertext (crack mode)")
-    p.add_argument("--ciphertext-file")
-    p.add_argument("--true-key", help="alphabet-image key string")
-    p.add_argument("--true-key-file", help="file with one key per line")
-
+    for name, (_, _, text, _) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag, spec in FLAGS[name]:
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -605,9 +537,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # --help, --version, or a flag argparse refused
         return exc.code
+    run, randomized, _, defaults = COMMANDS[args.command]
     try:
-        cfg, text = COMMANDS[args.command](args)
-        _write(cfg, text)
+        cfg = _resolve(args, defaults, randomized)
+        _write(cfg, run(cfg))
     except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

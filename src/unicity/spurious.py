@@ -93,9 +93,9 @@ class ToyLanguage:
         arr = np.asarray(self.codes, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("toy language needs at least one message")
-        if np.unique(arr).size != arr.size:
-            raise ValueError("toy language messages must be distinct")
         arr = np.sort(arr)
+        if np.any(arr[1:] == arr[:-1]):
+            raise ValueError("toy language messages must be distinct")
         object.__setattr__(self, "codes", arr)
         arr.flags.writeable = False
 
@@ -154,19 +154,15 @@ def build_toy_language(
     if total <= (1 << 22):
         codes = rng.permutation(total)[:want].astype(np.int64)
     else:
-        # sequential rejection sampling; uniform without replacement
-        seen: set[int] = set()
-        picked: list[int] = []
-        while len(picked) < want:
+        # rejection sampling, uniform without replacement: the first want
+        # distinct codes in draw order, taken a batch of draws at a time
+        codes = np.empty(0, dtype=np.int64)
+        while codes.size < want:
             batch = rng.integers(0, total, size=max(1024, want), dtype=np.int64)
-            for c in batch:
-                ci = int(c)
-                if ci not in seen:
-                    seen.add(ci)
-                    picked.append(ci)
-                    if len(picked) == want:
-                        break
-        codes = np.array(picked, dtype=np.int64)
+            _, first = np.unique(batch, return_index=True)
+            fresh = batch[np.sort(first)]
+            fresh = fresh[~np.isin(fresh, codes)]
+            codes = np.concatenate([codes, fresh[: want - codes.size]])
     return ToyLanguage(alphabet=alphabet, length=length, codes=codes, seed=seed)
 
 
@@ -207,7 +203,8 @@ def monte_carlo_spurious(
     then samples keys uniformly, redrawing any that equal the true key,
     until keys_per_trial wrong keys are in. The fraction of them that
     decrypt the ciphertext to a member is scaled up to the key_count - 1
-    wrong keys. Per-trial generators derive from (seed, trial), so the
+    wrong keys; a trial's wrong keys are inverted, applied and looked up
+    as one array. Per-trial generators derive from (seed, trial), so the
     result does not depend on evaluation order.
     """
     if trials < 1:
@@ -228,15 +225,13 @@ def monte_carlo_spurious(
         plain = language.sample_message(rng)
         true_key = space.sample(rng)
         ciphertext = true_key.mapping[plain]
-        accepted = 0
-        wrong = 0
-        while wrong < keys_per_trial:
-            cand = space.sample(rng)
-            if np.array_equal(cand.mapping, true_key.mapping):
-                continue
-            wrong += 1
-            if language.contains_codes(encode_rows(cand.inverse().mapping[ciphertext], g)):
-                accepted += 1
+        wrong = []
+        while len(wrong) < keys_per_trial:
+            cand = space.sample(rng).mapping
+            if not np.array_equal(cand, true_key.mapping):
+                wrong.append(cand)
+        decrypted = np.argsort(wrong, axis=1)[:, ciphertext]  # inverse keys applied
+        accepted = np.count_nonzero(language.contains_codes(encode_rows(decrypted, g)))
         estimates[t] = wrong_total * (accepted / keys_per_trial)
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan

@@ -63,3 +63,44 @@ def mi_from_dense(joint):
     p_c = joint.sum(axis=0, keepdims=True)
     mask = joint > 0
     return float((joint[mask] * np.log2(joint[mask] / (p_m @ p_c)[mask])).sum())
+
+
+def rejection_sample(total, want, rng):
+    """The first `want` distinct codes that rng.integers(0, total) draws
+    in batches of max(1024, want), taken one draw at a time through a set:
+    a per-draw reference for build_toy_language's sampler past 2**22
+    sequences."""
+    seen = set()
+    picked = []
+    while len(picked) < want:
+        for c in rng.integers(0, total, size=max(1024, want), dtype=np.int64):
+            if int(c) not in seen:
+                seen.add(int(c))
+                picked.append(int(c))
+                if len(picked) == want:
+                    break
+    return picked
+
+
+def monte_carlo_estimates(space, language, trials, seed, keys_per_trial):
+    """Per-trial estimates of monte_carlo_spurious with one candidate at a
+    time: the same draws from default_rng((seed, trial)) (message, true
+    key, then candidates, redrawing the true key), each wrong key
+    inverted and its decryption looked up among the member messages."""
+    members = set(map(tuple, language.messages.tolist()))
+    estimates = []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        plain = language.sample_message(rng)
+        true_key = tuple(space.sample(rng).mapping.tolist())
+        cipher = [true_key[s] for s in plain]
+        accepted = wrong = 0
+        while wrong < keys_per_trial:
+            cand = tuple(space.sample(rng).mapping.tolist())
+            if cand == true_key:
+                continue
+            wrong += 1
+            inverse = {c: p for p, c in enumerate(cand)}
+            accepted += tuple(inverse[c] for c in cipher) in members
+        estimates.append((space.key_count - 1) * (accepted / keys_per_trial))
+    return estimates

@@ -13,7 +13,7 @@ from unicity import (
     decrypt,
     encrypt,
 )
-from unicity.cipher import read_keys
+from unicity.cipher import parse_keys
 
 
 class TestKeys:
@@ -55,7 +55,7 @@ class TestKeys:
         keys = [SubstitutionKey(rng.permutation(26)) for _ in range(5)]
         path = tmp_path / "keys.txt"
         path.write_text("".join(f"{k.as_string(latin)}\n\n" for k in keys))
-        assert read_keys(path, latin) == keys
+        assert parse_keys(path.read_text(), latin) == keys
 
 
 class TestRoundTrip:

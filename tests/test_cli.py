@@ -550,6 +550,8 @@ CONFIG_FILES = {
     "<config: alphabet_size 2.7>": {"alphabet_size": 2.7},
     "<config: cipher 5>": {"cipher": 5},
 }
+# argv placeholder for an input file of Latin-1 (not UTF-8) text
+LATIN1_FILE = "<file: latin-1 text>"
 
 
 @pytest.mark.parametrize(
@@ -595,6 +597,10 @@ CONFIG_FILES = {
         ["channel", "--config", "<config: alphabet_size 2.7>"],
         ["unicity", "--redundancy", "3.2", "--config", "<config: cipher 5>"],
         ["corpus-stats", "--corpus", str(CORPUS_PATH), "--alphabet-symbols", "AAB"],
+        ["corpus-stats", "--corpus", LATIN1_FILE],
+        ["unicity", "--corpus", LATIN1_FILE],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH),
+         "--ciphertext-file", LATIN1_FILE],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
@@ -607,7 +613,8 @@ CONFIG_FILES = {
         "config-alphabet-symbols-int", "config-corpus-int", "config-ciphertext-int",
         "config-true-key-int", "config-out-int", "config-format-xml", "config-seed-float",
         "config-seed-bool", "config-alphabet-size-float", "config-cipher-int",
-        "alphabet-symbols-repeated",
+        "alphabet-symbols-repeated", "corpus-latin-1", "unicity-corpus-latin-1",
+        "ciphertext-file-latin-1",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -615,7 +622,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
     for arg in argv:
         if arg in CONFIG_FILES:
             cfg_path.write_text(json.dumps(CONFIG_FILES[arg]))
+    latin1_path = tmp_path / "latin1.txt"
+    latin1_path.write_bytes("THE CAF\xc9 IS OPEN".encode("latin-1"))
     argv = [str(cfg_path) if a in CONFIG_FILES else a for a in argv]
+    argv = [str(latin1_path) if a == LATIN1_FILE else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

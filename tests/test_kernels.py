@@ -155,20 +155,26 @@ class TestMcmcSweep:
             assert np.all(trace[:, :-1] >= trace[:, 1:] - 1e-12)
 
 
-@pytest.mark.parametrize("g, iterations", [(26, 2500), (3, 1000), (2, 7)])
-def test_block_streams_equal_whole_draws(g, iterations):
-    """A chain's proposals drawn in blocks are the three whole-stream
-    draws from default_rng((seed, chain)): first letters, raw second
-    letters, then acceptance uniforms."""
+@pytest.mark.parametrize(
+    "g, sizes",
+    [(26, [_BLOCK] * 25), (3, [_BLOCK] * 10), (2, [7]), (25, [30, 70, 1, _BLOCK - 1, 45, 9])],
+    ids=["26-2500", "3-1000", "2-7", "25-254"],  # g-iterations
+)
+def test_block_streams_equal_whole_draws(g, sizes):
+    """A chain's proposals, taken in blocks of the given sizes (none
+    crossing a multiple of _BLOCK), are the three whole-stream draws
+    from default_rng((seed, chain)): first letters, raw second letters,
+    then acceptance uniforms."""
+    iterations = sum(sizes)
     rng = np.random.default_rng((11, 4))
     pair_a = rng.integers(0, g, size=iterations)
     raw_b = rng.integers(0, g - 1, size=iterations)
     log2_u = np.log2(rng.random(size=iterations))
     rows = (np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK))
     blocks = [[], [], []]
-    for size in _proposals(11, 4, g, iterations, *rows):
+    for block in _proposals(11, 4, g, sizes, *rows):
         for got, row in zip(blocks, rows):
-            got.append(row[:size].copy())
+            got.append(row[block].copy())
     assert np.array_equal(np.concatenate(blocks[0]), pair_a)
     assert np.array_equal(np.concatenate(blocks[1]), raw_b + (raw_b >= pair_a))
     assert np.array_equal(np.concatenate(blocks[2]), log2_u)

@@ -5,8 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import key_tuples, small_instances, spurious_count
+from brute_force import (
+    key_tuples,
+    monte_carlo_estimates,
+    rejection_sample,
+    small_instances,
+    spurious_count,
+)
 from unicity import (
+    SHIFT,
     SUBSTITUTION,
     Alphabet,
     KeySpace,
@@ -145,6 +152,19 @@ class TestToyLanguage:
         outside = np.setdiff1d(np.arange(64), toy.codes)
         assert not toy.contains_codes(outside).any()
 
+    @pytest.mark.parametrize(
+        "g, n, want", [(3, 14, 1), (3, 14, 20_000), (2, 23, 5_000), (26, 5, 30_000)]
+    )
+    def test_rejection_sampler_matches_per_draw_reference(self, g, n, want):
+        """Past 2**22 sequences the language is the first `want` distinct
+        codes in draw order; at these sizes some draws repeat, within a
+        batch and across batches."""
+        assert g**n > 1 << 22
+        toy = build_toy_language(Alphabet.first_n(g), n, math.log2(want) / n, seed=6)
+        assert toy.size == want
+        reference = rejection_sample(g**n, want, np.random.default_rng((6, n)))
+        assert np.array_equal(toy.codes, np.sort(reference))
+
 
 class TestCountSpurious:
     def test_full_space_language_always_23(self):
@@ -206,6 +226,18 @@ class TestMonteCarlo:
         est = monte_carlo_spurious(space, toy, 3, trials=400, seed=5)
         assert est.se > 0
         assert abs(est.mean - exact) <= 3 * est.se
+
+    @pytest.mark.parametrize("kind", [SUBSTITUTION, SHIFT])
+    @pytest.mark.parametrize("g, n, rate", [(2, 3, 1.0), (3, 3, 1.0), (4, 3, 1.5), (6, 4, 2.0)])
+    @pytest.mark.parametrize("keys_per_trial", [1, 2, 50])
+    def test_matches_per_candidate_reference(self, kind, g, n, rate, keys_per_trial):
+        ab = Alphabet.first_n(g)
+        space = KeySpace(kind, ab)
+        toy = build_toy_language(ab, n, rate, seed=g)
+        est = monte_carlo_spurious(space, toy, n, trials=6, seed=3, keys_per_trial=keys_per_trial)
+        reference = np.array(monte_carlo_estimates(space, toy, 6, 3, keys_per_trial))
+        assert est.mean == reference.mean()
+        assert est.se == reference.std(ddof=1) / math.sqrt(6)
 
     def test_one_key_space_has_no_spurious_keys(self, monkeypatch):
         """With a single key there is no wrong key to draw: the estimate
