@@ -9,6 +9,17 @@ a transposition is scored from the few windows it moves (after Jakobsen
 1995), in exact fixed-point integers; the work per step follows the
 text, not the number of n-grams.
 
+The batch advances in rounds. A round scores the next k proposals of
+every chain from the chains' current states, as C * k rows: at k = 1
+the rows are the chains themselves, scored in place; above, row (c, i)
+is a copy of chain c's code row trying its proposal i. The batch then
+moves to the first step at which any chain accepts, and only the chains
+that accept there take their move. This is the step-at-a-time walk bit
+for bit: no chain moves before that step, so every earlier proposal was
+scored from the state the walk would have had, and rejected. Once the
+chains have settled they reject almost every proposal, and one round
+covers many steps (pre-fetching, after Brockwell 2006).
+
 Runs are deterministic given the seed. Chain c of a crack seeded s draws
 its proposals from default_rng((s, c)): every first letter, then every
 second letter, then every acceptance uniform, taken in blocks as the
@@ -20,8 +31,8 @@ in the sweep, not on the rest of the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +42,7 @@ from .lang import NGramModel, decode_codes, encode_rows, redundancy
 from .spurious import unicity_distance
 
 # proposals drawn per chain and stream in one generator call
-_BLOCK = 100
+_BLOCK = 200
 # most chains advanced as one batch: a recovery curve runs its trials in
 # groups of whole cracks, so memory does not grow with the trial count
 _BATCH_CHAINS = 64
@@ -111,10 +122,13 @@ class _Scoring:
     counts in units of unit[c] bits, and its codes are offset into the
     block of cost that holds the model's costs in those units."""
 
-    lists: np.ndarray  # (3, ciphertexts * g, M) int32
+    lists: np.ndarray  # (3, ciphertexts * g, M) int64
     row: np.ndarray  # (C,)
     cost: np.ndarray  # (scales * g**order,) int64
     unit: np.ndarray  # (C,) bits per unit, a power of two
+    room: np.ndarray  # flat room for the work arrays of mcmc_sweep's widest round
+    copies: np.ndarray  # flat room for that round's C * k code rows, empty at k = 1
+    rounds: dict = field(default_factory=dict)  # views of room and copies, by row shape
 
 
 def _letter_windows(wins: np.ndarray, g: int):
@@ -136,7 +150,7 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
     width = 1 + max(wins.shape[0] for wins, _ in windows)  # the last column pads
     held = [_letter_windows(wins, g) for wins, _ in windows]
     longest = max(int(np.bincount(a).max()) for a, _, _ in held)
-    lists = np.zeros((3, len(windows) * g, longest), dtype=np.int32)
+    lists = np.zeros((3, len(windows) * g, longest), dtype=np.int64)
     lists[0] = width - 1
     for i, ((_, wcounts), (a, w, place)) in enumerate(zip(windows, held)):
         at = (i * g + a, np.arange(a.size) - np.searchsorted(a, a))
@@ -153,11 +167,16 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
         [62 - max_bits - 4 * math.ceil(math.frexp(wc.sum())[1] / 4) for _, wc in windows]
     )
     levels, level = np.unique(ks, return_inverse=True)
+    # mcmc_sweep's widest round scores k steps of every chain, with
+    # C * k <= _BATCH_CHAINS, and at k > 1 works on copies of code rows
+    most = job.size * max(1, _BATCH_CHAINS // job.size)
     scoring = _Scoring(
         lists=lists,
         row=job * g,
         cost=np.concatenate([np.rint(np.ldexp(nll_flat, k)).astype(np.int64) for k in levels]),
         unit=np.ldexp(1.0, -ks[job]),
+        room=np.empty(7 * 2 * most * longest, dtype=np.int64),  # 7 arrays of (2, rows, M)
+        copies=np.empty((most if most > job.size else 0) * width, dtype=np.int64),
     )
     code = np.repeat(level[job, None] * nll_flat.size, width, axis=1)
     score = np.zeros(job.size, dtype=np.int64)
@@ -166,6 +185,72 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
         code[c, : wins.shape[0]] += encode_rows(inv0[c][wins], g)
         score[c] = wcounts.astype(np.int64) @ scoring.cost[code[c, : wins.shape[0]]]
     return code, score, scoring
+
+
+class _Round(NamedTuple):
+    """Work arrays of a round whose rows have shape lead: (C,) at k = 1,
+    (C, k) above. Each pair holds the views for letter a's windows and
+    for letter b's."""
+
+    picked: np.ndarray  # (3, 2, *lead, M): windows, place sums, counts
+    cells: np.ndarray  # the window plane, made each window's index into the rows
+    cell: tuple
+    places: tuple
+    counts: np.ndarray
+    moves: np.ndarray  # (2, 2, *lead, M): window codes after, then before
+    after: tuple
+    before: tuple
+    costs: np.ndarray  # the costs of moves
+    base: np.ndarray  # each row's offset into the flat rows
+    total: str  # the einsum that sums a row's cost change
+    copies: np.ndarray | None  # (C, k, code width) code rows at k > 1
+
+
+def _round(scoring: _Scoring, lead: tuple, code_width: int) -> _Round:
+    """The work arrays of a round whose rows have shape lead, made on
+    first use as views of the batch's room."""
+    if lead not in scoring.rounds:
+        rows = math.prod(lead)
+        shape = (2, *lead, scoring.lists.shape[2])
+        n = math.prod(shape)
+        picked = scoring.room[: 3 * n].reshape(3, *shape)
+        moves = scoring.room[3 * n : 5 * n].reshape(2, *shape)
+        axes = "jk"[: len(lead)]
+        scoring.rounds[lead] = _Round(
+            picked, picked[0], tuple(picked[0]), tuple(picked[1]), picked[2], moves,
+            tuple(moves[0]), tuple(moves[1]), scoring.room[5 * n : 7 * n].reshape(2, *shape),
+            np.arange(rows).reshape(*lead, 1) * code_width,
+            f"i{axes}l,i{axes}l->{axes}",
+            scoring.copies[: rows * code_width].reshape(*lead, code_width)
+            if len(lead) > 1 else None,
+        )
+    return scoring.rounds[lead]
+
+
+def _move_and_score(target, index, shift, work: _Round, scoring: _Scoring):
+    """Score one proposal per row of target, a flat array of code rows,
+    given the list rows to index: move letter a's windows (x -> y) in
+    place, then letter b's (y -> x) from there. A window holding both
+    letters is moved by both, and its two cost changes add up to the
+    right total. Letter b's move is left unwritten. Returns each row's
+    cost change."""
+    picked, cells, (cell_a, cell_b), (places_a, places_b), counts, moves, \
+        (after_a, after_b), (before_a, before_b), costs, base, total, _ = work
+    # the takes use mode="clip" only because numpy buffers `out` under
+    # the default mode; every index is in range
+    scoring.lists.take(index, axis=1, out=picked, mode="clip")
+    cells += base
+    target.take(cell_a, out=before_a, mode="clip")
+    np.multiply(places_a, shift, out=after_a)
+    after_a += before_a
+    target[cell_a] = after_a
+    target.take(cell_b, out=before_b, mode="clip")
+    np.multiply(places_b, shift, out=after_b)
+    np.subtract(before_b, after_b, out=after_b)
+    scoring.cost.take(moves, out=costs, mode="clip")
+    gain, lost = costs
+    np.subtract(gain, lost, out=gain)
+    return np.einsum(total, counts, gain)
 
 
 def mcmc_sweep(
@@ -190,49 +275,63 @@ def mcmc_sweep(
     uniform. A step rescores only the windows that hold either cipher
     letter. code must be C-contiguous, as it is updated through a flat
     view. Returns the number of proposals each chain accepted.
+
+    The batch advances in rounds of k steps (see the module docstring).
+    k starts at its cap, the largest k with C * k <= _BATCH_CHAINS. It
+    doubles, up to the cap, after a round in which no chain accepts, and
+    halves when some chain accepts the round's first step. A round never
+    passes the last step.
     """
-    chains = np.arange(inv.shape[0])
+    chains, code_width = code.shape
+    steps = pair_a.shape[1]
+    cap = max(1, scoring.copies.size // code.size)  # k of the widest round
     flat = code.reshape(-1)
-    base = chains[:, None] * code.shape[1]
-    rows = np.stack([pair_a, pair_b]) + scoring.row[:, None]  # (2, C, steps)
-    # per-step work arrays, [0] for letter a's windows and [1] for b's;
-    # the takes into them use mode="clip" only because numpy buffers
-    # `out` under the default mode; every index is in range
-    picked = np.empty((3, 2, chains.size, scoring.lists.shape[2]), dtype=scoring.lists.dtype)
-    wins, places, counts = picked
-    cells = np.empty(wins.shape, dtype=np.int64)
-    moves = np.empty((2, *wins.shape), dtype=np.int64)
-    after, before = moves
-    costs = np.empty_like(moves)
-    accepted = np.zeros(chains.size, dtype=np.int64)
-    for j in range(pair_a.shape[1]):
-        a = pair_a[:, j]
-        b = pair_b[:, j]
-        x = inv[chains, a]
-        y = inv[chains, b]
-        scoring.lists.take(rows[:, :, j], axis=1, out=picked, mode="clip")
-        np.add(wins, base, out=cells)
-        shift = (y - x)[:, None]
-        # Move letter a's windows (x -> y) in place, then letter b's
-        # (y -> x) from there: a window holding both letters is moved by
-        # both, and its two cost changes add up to the right total.
-        flat.take(cells[0], out=before[0], mode="clip")
-        np.multiply(places[0], shift, out=after[0])
-        after[0] += before[0]
-        flat[cells[0]] = after[0]
-        flat.take(cells[1], out=before[1], mode="clip")
-        np.multiply(places[1], shift, out=after[1])
-        np.subtract(before[1], after[1], out=after[1])
-        scoring.cost.take(moves, out=costs, mode="clip")
-        np.subtract(costs[0], costs[1], out=costs[0])
-        delta = np.einsum("ijk,ijk->j", counts, costs[0])
-        accept = (delta < 0) | (log2_u[:, j] < -delta * scoring.unit / temperature)
-        np.copyto(after[0], before[0], where=~accept[:, None])
-        flat[cells[0]] = after[0]  # undo letter a's move where rejected
-        c = np.flatnonzero(accept)
+    rows = np.stack([pair_a, pair_b])  # the list rows of each proposal's letters
+    rows += scoring.row[:, None]
+    held = np.arange(chains)
+    single = _round(scoring, (chains,), code_width)
+    accepted = np.zeros(chains, dtype=np.int64)
+    k = cap
+    p = 0
+    while p < steps:
+        width = min(k, steps - p)
+        if width == 1:
+            now = p
+            target = flat  # the rows are the chains themselves
+            ahead = held
+            unit = scoring.unit
+            work = single
+        else:
+            now = slice(p, p + width)
+            work = _round(scoring, (chains, width), code_width)
+            work.copies[...] = code[:, None, :]
+            target = work.copies.reshape(-1)
+            ahead = held[:, None]
+            unit = scoring.unit[:, None]
+        a = pair_a[:, now]
+        b = pair_b[:, now]
+        x = inv[ahead, a]
+        y = inv[ahead, b]
+        delta = _move_and_score(target, rows[:, :, now], (y - x)[..., None], work, scoring)
+        accept = (delta < 0) | (log2_u[:, now] < -delta * unit / temperature)
+        if width == 1:
+            np.copyto(work.after[0], work.before[0], where=~accept[:, None])
+            flat[work.cell[0]] = work.after[0]  # undo letter a's move where rejected
+            first = 0
+            c = np.flatnonzero(accept)
+        else:
+            first = int(accept.any(axis=0).argmax())
+            c = np.flatnonzero(accept[:, first])
         if not c.size:
+            p += width
+            k = min(2 * k, cap)
             continue
-        flat[cells[1, c]] = after[1, c]
+        if width == 1:
+            flat[work.cell[1][c]] = work.after[1][c]
+        else:
+            target[work.cell[1][c, first]] = work.after[1][c, first]
+            code[c] = work.copies[c, first]
+            a, b, x, y, delta = (v[:, first] for v in (a, b, x, y, delta))
         inv[c, a[c]] = y[c]
         inv[c, b[c]] = x[c]
         score[c] += delta[c]
@@ -241,6 +340,9 @@ def mcmc_sweep(
         if better.size:
             best_score[better] = score[better]
             best_inv[better] = inv[better]
+        p += first + 1
+        if first == 0:
+            k = max(k // 2, 1)
     return accepted
 
 

@@ -36,6 +36,15 @@ class SubstitutionKey:
         object.__setattr__(self, "mapping", arr)
         arr.flags.writeable = False
 
+    @classmethod
+    def _of_permutation(cls, mapping: np.ndarray) -> "SubstitutionKey":
+        """Key of an int64 array that is a permutation by construction,
+        such as a draw of rng.permutation, without checking it again."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "mapping", mapping)
+        mapping.flags.writeable = False
+        return key
+
     @property
     def size(self) -> int:
         return int(self.mapping.size)
@@ -43,7 +52,7 @@ class SubstitutionKey:
     def inverse(self) -> "SubstitutionKey":
         inv = np.empty_like(self.mapping)
         inv[self.mapping] = np.arange(self.mapping.size)
-        return SubstitutionKey(inv)
+        return SubstitutionKey._of_permutation(inv)
 
     def as_string(self, alphabet: Alphabet) -> str:
         """Ciphertext image of the alphabet, e.g. a 26-char string."""
@@ -61,7 +70,7 @@ class SubstitutionKey:
 
     @classmethod
     def shift(cls, g: int, offset: int) -> "SubstitutionKey":
-        return cls((np.arange(g, dtype=np.int64) + offset) % g)
+        return cls._of_permutation((np.arange(g, dtype=np.int64) + int(offset)) % g)
 
     def __eq__(self, other):
         if not isinstance(other, SubstitutionKey):
@@ -117,7 +126,7 @@ class KeySpace:
     def sample(self, rng: np.random.Generator) -> SubstitutionKey:
         g = self.alphabet.size
         if self.kind == SUBSTITUTION:
-            return SubstitutionKey(rng.permutation(g).astype(np.int64))
+            return SubstitutionKey._of_permutation(rng.permutation(g).astype(np.int64))
         return SubstitutionKey.shift(g, int(rng.integers(g)))
 
     def enumerate_mappings(self) -> Iterator[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from unicity import attack
 from unicity.attack import _cipher_windows, _frequency_start, _trial_job
 from unicity.lang import fit_ngram
 
-from test_kernels import mcmc_oracle
+from test_kernels import count_rounds, mcmc_oracle
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +192,34 @@ class TestCrack:
         best = min(found.values())
         near_best = [k for k, s in found.items() if s <= best + 1.0]
         assert len(set(near_best)) >= 2
+
+    def test_round_width_leaves_crack_unchanged(
+        self, bigram_model, english_split, space, monkeypatch
+    ):
+        """_BATCH_CHAINS caps C * k, the rows of a round. At 6 a 6-chain
+        crack takes one step per round, at 64 up to 10; the results are
+        the same, and the settled chains of the wider rounds need far
+        fewer rounds than steps."""
+        _, heldout = english_split
+        key = space.sample(np.random.default_rng(12))
+        cipher = encrypt(key, heldout[1000:1800])
+        cfg = AttackConfig(model=bigram_model, iterations=4000, restarts=5, seed=21)
+        results, rounds = [], []
+        for batch_chains in (6, 64):
+            monkeypatch.setattr(attack, "_BATCH_CHAINS", batch_chains)
+            widths = count_rounds(monkeypatch)
+            results.append(mcmc_crack(cipher, cfg, key))
+            rounds.append(len(widths))
+        narrow, wide = results
+        assert rounds[0] == cfg.iterations
+        assert rounds[1] < cfg.iterations / 4
+        assert narrow.best_key == wide.best_key
+        assert narrow.best_score_bits == wide.best_score_bits
+        assert np.array_equal(narrow.score_trace, wide.score_trace)
+        assert narrow.key_accuracy == wide.key_accuracy
+        assert narrow.plaintext_accuracy == wide.plaintext_accuracy
+        assert narrow.acceptance_rates == wide.acceptance_rates
+        assert narrow.best_restart == wide.best_restart
 
     def test_too_short_ciphertext(self, bigram_model):
         cfg = AttackConfig(model=bigram_model, iterations=10, restarts=0, seed=0)

@@ -139,6 +139,25 @@ class TestSampling:
         for c in counts.values():
             assert abs(c / n - 1 / 6) < 0.01
 
+    @pytest.mark.parametrize("kind", [SUBSTITUTION, SHIFT])
+    def test_samples_equal_checked_keys_of_the_same_draws(self, kind):
+        """Sampled keys skip the permutation check but are the keys the
+        checked constructor builds from the same draws: int64, read-only,
+        and equal; the generator ends in the same state."""
+        g = 7
+        space = KeySpace(kind, Alphabet.first_n(g))
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(20):
+            key = space.sample(rng)
+            if kind == SUBSTITUTION:
+                expected = SubstitutionKey(ref.permutation(g))
+            else:
+                expected = SubstitutionKey((np.arange(g) + int(ref.integers(g))) % g)
+            assert key == expected
+            assert key.mapping.dtype == np.int64 and not key.mapping.flags.writeable
+            assert key.inverse() == SubstitutionKey(np.argsort(expected.mapping))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_shift_samples_are_rotations(self, latin):
         space = KeySpace(SHIFT, latin)
         rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from unicity import attack
 from unicity.attack import _BLOCK, _proposals, _score_bits, _start_chains, mcmc_sweep
 
 
@@ -82,18 +83,32 @@ def _random_batch(seed, chains=4, g=5, order=2, iters=200):
     return windows, nll_flat, g, inv0, pair_a, pair_b, log2_u
 
 
-def _assert_matches_oracle(seed, order):
+def count_rounds(monkeypatch) -> list[int]:
+    """Record the width k of every round mcmc_sweep scores from now on."""
+    widths = []
+    score = attack._move_and_score
+
+    def counted(target, index, *rest):
+        widths.append(index.shape[2] if index.ndim == 3 else 1)
+        return score(target, index, *rest)
+
+    monkeypatch.setattr(attack, "_move_and_score", counted)
+    return widths
+
+
+def _assert_matches_oracle(seed, order, temp=1.0, every=50, **batch):
     windows, nll_flat, g, inv0, pair_a, pair_b, log2_u = case = _random_batch(
-        seed, order=order
+        seed, order=order, **batch
     )
-    best, trace, _ = run_batch(*case, 1.0, 50)
+    best, trace, state = run_batch(*case, temp, every)
     for c, (wins, wcounts) in enumerate(windows):
         best_or, score_or, trace_or = mcmc_oracle(
-            wins, wcounts, nll_flat, g, inv0[c], pair_a[c], pair_b[c], log2_u[c], 1.0, 50
+            wins, wcounts, nll_flat, g, inv0[c], pair_a[c], pair_b[c], log2_u[c], temp, every
         )
         assert np.array_equal(best[c], best_or)
         assert math.isclose(trace[c, -1], score_or, rel_tol=1e-12, abs_tol=1e-9)
         assert np.allclose(trace[c], trace_or, rtol=1e-12, atol=1e-9)
+    return state
 
 
 class TestMcmcSweep:
@@ -108,6 +123,26 @@ class TestMcmcSweep:
     def test_order_four_matches_oracle(self):
         for seed in range(2):
             _assert_matches_oracle(seed, order=4)
+
+    @pytest.mark.parametrize("temp", [0.02, 30.0], ids=["rare", "frequent"])
+    def test_lookahead_rounds_match_oracle(self, monkeypatch, temp):
+        """Rounds that score several steps of each chain at once walk as
+        the one-step reference does, whether the chains accept rarely
+        (cold: rounds reach the widest k, 64 // 3 = 21, and cover many
+        steps each) or often (hot: a chain accepts most steps, and most
+        rounds are one step)."""
+        widths = count_rounds(monkeypatch)
+        steps = 3000
+        state = _assert_matches_oracle(
+            13, order=2, temp=temp, every=100, chains=3, g=8, iters=steps
+        )
+        if temp < 1:
+            assert max(widths) == 21
+            assert len(widths) < steps / 5
+        else:
+            assert state["accepted"].max() > steps / 2
+            assert len(widths) > steps / 2
+        assert sum(widths) >= steps
 
     def test_running_score_is_exact(self):
         """The fixed-point score carried through a sweep equals a fresh
@@ -157,8 +192,13 @@ class TestMcmcSweep:
 
 @pytest.mark.parametrize(
     "g, sizes",
-    [(26, [_BLOCK] * 25), (3, [_BLOCK] * 10), (2, [7]), (25, [30, 70, 1, _BLOCK - 1, 45, 9])],
-    ids=["26-2500", "3-1000", "2-7", "25-254"],  # g-iterations
+    [
+        (26, [_BLOCK] * 25),
+        (3, [_BLOCK] * 10),
+        (2, [7]),
+        (25, [30, _BLOCK - 30, 1, _BLOCK - 1, 45, 9]),
+    ],
+    ids=["26-2500", "3-1000", "2-7", "25-254"],  # g, then the iterations at _BLOCK = 100
 )
 def test_block_streams_equal_whole_draws(g, sizes):
     """A chain's proposals, taken in blocks of the given sizes (none
