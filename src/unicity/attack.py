@@ -374,20 +374,10 @@ def _proposals(seed: int, chain: int, g: int, sizes: list[int], pair_a, pair_b, 
         start += size
 
 
-def _crack_batch(jobs, config: AttackConfig) -> list[AttackResult]:
-    """Crack each (ciphertext, seed, true key or None) job with
-    restarts+1 chains. The chains of up to _BATCH_CHAINS // (restarts+1)
-    jobs advance as one batch; no job's result depends on its batch."""
-    per_batch = max(1, _BATCH_CHAINS // (config.restarts + 1))
-    return [
-        result
-        for i in range(0, len(jobs), per_batch)
-        for result in _crack_jobs(jobs[i : i + per_batch], config)
-    ]
-
-
 def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
-    """Crack jobs with all their chains advancing as one batch."""
+    """Crack each (ciphertext, seed, true key or None) job with
+    restarts+1 chains, all advancing as one batch. No job's result
+    depends on the rest of its batch."""
     model = config.model
     g = model.alphabet.size
     nll_flat = model.nll_flat
@@ -476,7 +466,7 @@ def mcmc_crack(
         raise ValueError("ciphertext shorter than the scoring model order")
     if ciphertext.min() < 0 or ciphertext.max() >= g:
         raise ValueError("ciphertext code outside the model alphabet")
-    return _crack_batch([(ciphertext, config.seed, true_key)], config)[0]
+    return _crack_jobs([(ciphertext, config.seed, true_key)], config)[0]
 
 
 @dataclass(frozen=True)
@@ -548,6 +538,11 @@ def recovery_curve(
         _trial_job(corpus, space, config.seed, n, i)
         for i, (n, _) in enumerate(cells)
     ]
+    # batches of whole cracks, at most _BATCH_CHAINS chains each
+    per_batch = max(1, _BATCH_CHAINS // (config.restarts + 1))
+    results = []
+    for i in range(0, len(jobs), per_batch):
+        results += _crack_jobs(jobs[i : i + per_batch], config)
     rows = [
         AttackTrialRow(
             length=n,
@@ -558,7 +553,7 @@ def recovery_curve(
             iterations=result.iterations,
             seed=result.seed,
         )
-        for (n, t), result in zip(cells, _crack_batch(jobs, config))
+        for (n, t), result in zip(cells, results)
     ]
 
     summaries = []

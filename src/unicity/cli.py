@@ -14,14 +14,15 @@ one and record it. A relative input path (--corpus, --ciphertext-file,
 in UNICITY_CORPUS_DIR.
 
 Exit codes: 0 success, 1 experiment-level failure (infeasible
-parameters, a held-out corpus too short for the requested lengths),
-2 usage or I/O error, including a parameter of the wrong type or out of
-range and an input file that is not UTF-8.
+parameters, a held-out corpus too short for the requested lengths, a
+run too large to allocate), 2 usage or I/O error, including a parameter
+of the wrong type or out of range and an input file that is not UTF-8.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -286,7 +287,7 @@ def cmd_corpus_stats(cfg: dict) -> str:
         raise UsageError("corpus-stats requires --corpus")
     alphabet = _alphabet_from_cfg(cfg)
     codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
-    model = fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet)
+    model = fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet=alphabet)
     est = redundancy(model)
     counts = np.bincount(codes, minlength=alphabet.size)
     results = {
@@ -310,10 +311,14 @@ def cmd_unicity(cfg: dict) -> str:
         d = float(cfg["redundancy"])
     elif cfg["corpus"]:
         codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
-        d = redundancy(fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet)).redundancy
+        model = fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet=alphabet)
+        d = redundancy(model).redundancy
     else:
         raise UsageError("unicity requires --redundancy or --corpus")
-    lengths = list(range(cfg["n_min"], cfg["n_max"] + 1, cfg["n_step"]))
+    try:
+        lengths = list(range(cfg["n_min"], cfg["n_max"] + 1, cfg["n_step"]))
+    except (OverflowError, MemoryError):  # more lengths than a list can hold
+        raise UsageError("n-min to n-max in steps of n-step spans too many lengths") from None
     # zero or negative measured redundancy: no length rules a key out
     report = unicity_report(space.key_entropy_bits, max(d, 0.0), lengths)
     results = {
@@ -405,7 +410,7 @@ def cmd_attack(cfg: dict) -> str:
 
     def config(train):
         return AttackConfig(
-            model=fit_ngram(train, cfg["order"], float(cfg["alpha"]), alphabet),
+            model=fit_ngram(train, cfg["order"], float(cfg["alpha"]), alphabet=alphabet),
             iterations=cfg["iterations"],
             restarts=cfg["restarts"],
             seed=seed,
@@ -423,17 +428,10 @@ def cmd_attack(cfg: dict) -> str:
         cipher_codes = _encode_text(raw, alphabet, "ciphertext")
         result = mcmc_crack(cipher_codes, config(codes), _true_key(cfg, alphabet))
         results = {
+            **_as_row(result),
             "best_key": result.best_key.as_string(alphabet),
-            "best_score_bits": result.best_score_bits,
-            "decryption": alphabet.decode(result.best_key.inverse().mapping[cipher_codes]),
-            "key_accuracy": result.key_accuracy,
-            "plaintext_accuracy": result.plaintext_accuracy,
-            "iterations": result.iterations,
-            "restarts": result.restarts,
-            "seed": seed,
             "score_trace": result.score_trace.tolist(),
-            "acceptance_rates": list(result.acceptance_rates),
-            "best_restart": result.best_restart,
+            "decryption": alphabet.decode(result.best_key.inverse().mapping[cipher_codes]),
         }
         rows = [
             {"checkpoint": i, "best_score_bits": v} for i, v in enumerate(results["score_trace"])
@@ -495,29 +493,22 @@ COMMANDS = {
 }
 
 
-def _flag_specs(defaults: dict) -> list[tuple[str, dict]]:
-    """The add_argument calls for the parameters with these defaults."""
-    specs = []
+def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """A flag for each parameter with these defaults."""
     for key, default in defaults.items():
         kind, _, _, text = PARAMS[key]
         choices = default if isinstance(default, tuple) else None
-        if choices or default is not None:
+        if default is not None:
             text += f" (default: {choices[0] if choices else default})"
-        flag = "--" + key.replace("_", "-")
-        specs.append((flag, {"type": kind, "choices": choices, "help": text}))
-    return specs
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=text)
 
 
-# made once, so that building a parser only replays them
-COMMON_FLAGS = _flag_specs(COMMON)
-FLAGS = {name: _flag_specs(defaults) for name, (_, _, _, defaults) in COMMANDS.items()}
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its fields")
-    for flag, spec in COMMON_FLAGS:
-        common.add_argument(flag, **spec)
+    _add_flags(common, COMMON)
     parser = argparse.ArgumentParser(
         prog="unicity",
         description="Redundancy, spurious keys, channel view, and MCMC attacks "
@@ -525,10 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"unicity {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, text, _) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=text)
-        for flag, spec in FLAGS[name]:
-            p.add_argument(flag, **spec)
+    for name, (_, _, text, defaults) in COMMANDS.items():
+        _add_flags(sub.add_parser(name, parents=[common], help=text), defaults)
     return parser
 
 
@@ -546,6 +535,9 @@ def main(argv=None) -> int:
         return 2
     except (ExperimentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a run too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -192,22 +192,15 @@ def decode_codes(codes: np.ndarray, g: int, width: int) -> np.ndarray:
     return rows
 
 
-def fit_ngram(codes: np.ndarray, order: int, alpha: float = 0.5,
-              alphabet: Alphabet | None = None) -> NGramModel:
-    """Count every length-`order` window of the corpus exactly once.
-
-    `alphabet` defaults to the first-n uppercase letters covering the
-    largest code present; pass it explicitly for full generality.
-    """
+def fit_ngram(codes: np.ndarray, order: int, alpha: float = 0.5, *,
+              alphabet: Alphabet) -> NGramModel:
+    """Count every length-`order` window of the corpus exactly once. The
+    alphabet is required: the codes index its symbols."""
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 1:
         raise ValueError("corpus must be a 1-d code array")
     if alpha <= 0:
         raise ValueError("smoothing alpha must be > 0")
-    if alphabet is None:
-        if codes.size == 0:
-            raise ValueError("cannot infer alphabet from empty corpus")
-        alphabet = Alphabet.first_n(int(codes.max()) + 1)
     g = alphabet.size
     if codes.size < order:
         raise ValueError(f"corpus length {codes.size} shorter than order {order}")

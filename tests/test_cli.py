@@ -474,6 +474,17 @@ class TestAttack:
         assert code == 1
         assert "shorter" in err
 
+    def test_crack_too_large_to_allocate_exit_1(self, capsys):
+        """A score trace of about 4 EiB: the allocator refuses it at once."""
+        code, out, err = run_cli(
+            capsys, "attack", "--mode", "crack", "--corpus", str(CORPUS_PATH),
+            "--ciphertext", "QEBNRFZHYOLTK", "--iterations", "100000000000000000",
+            "--checkpoint-interval", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestConfigHandling:
     def test_config_file_and_override(self, capsys, tmp_path):
@@ -549,9 +560,17 @@ CONFIG_FILES = {
     "<config: seed true>": {"seed": True},
     "<config: alphabet_size 2.7>": {"alphabet_size": 2.7},
     "<config: cipher 5>": {"cipher": 5},
+    "<config: alpha 10**400>": {"alpha": 10**400},  # an integer past the float range
 }
-# argv placeholder for an input file of Latin-1 (not UTF-8) text
+# argv placeholders for other input files the test writes first, with
+# their bytes; MISSING_FILE names one it does not write
 LATIN1_FILE = "<file: latin-1 text>"
+INPUT_FILES = {
+    LATIN1_FILE: "THE CAF\xc9 IS OPEN".encode("latin-1"),
+    "<file: not JSON>": b'{"alpha": ',
+    "<file: two keys>": b"DEFGHIJKLMNOPQRSTUVWXYZABC\nABCDEFGHIJKLMNOPQRSTUVWXYZ\n",
+}
+MISSING_FILE = "<file: missing>"
 
 
 @pytest.mark.parametrize(
@@ -601,6 +620,13 @@ LATIN1_FILE = "<file: latin-1 text>"
         ["unicity", "--corpus", LATIN1_FILE],
         ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH),
          "--ciphertext-file", LATIN1_FILE],
+        ["channel", "--config", MISSING_FILE],
+        ["channel", "--config", "<file: not JSON>"],
+        ["unicity", "--redundancy", "3.2", "--config", "<config: alpha 10**400>"],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH), "--ciphertext", "123"],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH), "--ciphertext", "QEB NRFZH",
+         "--true-key-file", "<file: two keys>"],
+        ["unicity", "--redundancy", "3.2", "--n-max", "99999999999999999999999"],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
@@ -614,21 +640,30 @@ LATIN1_FILE = "<file: latin-1 text>"
         "config-true-key-int", "config-out-int", "config-format-xml", "config-seed-float",
         "config-seed-bool", "config-alphabet-size-float", "config-cipher-int",
         "alphabet-symbols-repeated", "corpus-latin-1", "unicity-corpus-latin-1",
-        "ciphertext-file-latin-1",
+        "ciphertext-file-latin-1", "config-missing", "config-not-json",
+        "config-alpha-past-float-range", "ciphertext-no-symbols", "true-key-file-two-keys",
+        "n-max-past-list-size",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
-    cfg_path = tmp_path / "cfg.json"
-    for arg in argv:
-        if arg in CONFIG_FILES:
-            cfg_path.write_text(json.dumps(CONFIG_FILES[arg]))
-    latin1_path = tmp_path / "latin1.txt"
-    latin1_path.write_bytes("THE CAF\xc9 IS OPEN".encode("latin-1"))
-    argv = [str(cfg_path) if a in CONFIG_FILES else a for a in argv]
-    argv = [str(latin1_path) if a == LATIN1_FILE else a for a in argv]
+    contents = {**{k: json.dumps(v).encode() for k, v in CONFIG_FILES.items()}, **INPUT_FILES}
+    paths = {MISSING_FILE: tmp_path / "missing.json"}
+    for i, arg in enumerate(argv):
+        if arg in contents:
+            paths[arg] = tmp_path / f"input{i}"
+            paths[arg].write_bytes(contents[arg])
+    argv = [str(paths[a]) if a in paths else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_help_unchanged_by_runs(capsys):
+    """Every main call parses with one shared parser; runs leave it as it was."""
+    before = [run_cli(capsys, name, "--help") for name in ("unicity", "attack")]
+    assert run_cli(capsys, "unicity", "--redundancy", "3.2", "--n-max", "3")[0] == 0
+    assert run_cli(capsys, "attack", "--mode", "nope")[0] == 2
+    assert [run_cli(capsys, name, "--help") for name in ("unicity", "attack")] == before

@@ -3,8 +3,9 @@
 Generated argvs and --config files mix valid values with values of the
 wrong type or out of range. Whatever they hold, `main` returns 0, 1 or
 2, raises nothing and prints no traceback. Every value is drawn small,
-and the flags that set the size of a run are always given, so no
-example starts heavy work.
+except the integers past int64 that the seed and the unicity length
+range also draw, and the flags that set the size of a run are always
+given, so no example starts heavy work.
 """
 
 import contextlib
@@ -36,10 +37,13 @@ WRONG = st.one_of(
 
 SMALL = st.integers(1, 3)
 FRACTION = st.floats(0.01, 0.99)
+# integers past int64: SeedSequence takes a seed of any size, and a
+# unicity length range holding them is refused or at most 10,843 rows
+HUGE = st.sampled_from([2**63, 10**23])
 
 # valid-looking values of each config key, kept small
 VALUES = {
-    "seed": st.integers(0, 3),
+    "seed": st.integers(0, 3) | HUGE,
     "workers": SMALL,
     "format": st.sampled_from(["csv", "json", "xml"]),
     "out": st.sampled_from([None, "", "."]),
@@ -50,9 +54,9 @@ VALUES = {
     "alphabet_symbols": st.sampled_from([None, "ABCD", "AB", "", "AAB", "ab"]),
     "cipher": st.sampled_from(["substitution", "shift", "rot13"]),
     "redundancy": st.floats(-1, 5),
-    "n_min": st.integers(0, 3),
-    "n_max": st.integers(0, 8),
-    "n_step": SMALL,
+    "n_min": st.integers(0, 3) | HUGE,
+    "n_max": st.integers(0, 8) | HUGE,
+    "n_step": SMALL | HUGE,
     "length": st.sampled_from(["3", "1,2", "0", "3,x", ""]),
     "lengths": st.sampled_from(["2,3", "1", "a,b", ""]),  # attack: ATTACK_LENGTHS
     "rate": st.floats(0, 2.5),
