@@ -22,10 +22,11 @@ covers many steps (pre-fetching, after Brockwell 2006).
 
 Runs are deterministic given the seed. Chain c of a crack seeded s draws
 its proposals from default_rng((s, c)): every first letter, then every
-second letter, then every acceptance uniform, taken in blocks as the
-batch advances. Per-run generators in sweeps derive from (seed, run
-index), so each trial's result depends only on the seed and its place
-in the sweep, not on the rest of the batch.
+second letter, then every acceptance uniform, from three generators
+positioned at the starts of the three streams and refilled _BLOCK at a
+time as the batch advances. Per-run generators in sweeps derive from
+(seed, run index), so each trial's result depends only on the seed and
+its place in the sweep, not on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from .cipher import KeySpace, SubstitutionKey, encrypt
 from .lang import NGramModel, decode_codes, encode_rows, redundancy
 from .spurious import unicity_distance
 
-# proposals drawn per chain and stream in one generator call
+# proposals drawn per chain and stream in one refill
 _BLOCK = 200
+# most draws per call when a generator skips a stream, bounding its memory
+_SKIP = 1 << 16
 # most chains advanced as one batch: a recovery curve runs its trials in
 # groups of whole cracks, so memory does not grow with the trial count
 _BATCH_CHAINS = 64
@@ -346,32 +349,18 @@ def mcmc_sweep(
     return accepted
 
 
-def _proposals(seed: int, chain: int, g: int, sizes: list[int], pair_a, pair_b, log2_u):
-    """Yield, for each block of the given sizes in turn, the slice of the
-    rows pair_a, pair_b and log2_u that holds one chain's proposals for
-    it. The rows are refilled _BLOCK proposals at a time, so no block may
-    cross a multiple of _BLOCK. The fills join up to what three whole
-    calls on default_rng((seed, chain)) would draw: all first letters,
-    then all raw second letters, then all uniforms."""
-    iterations = sum(sizes)
-    fills = [min(_BLOCK, iterations - start) for start in range(0, iterations, _BLOCK)]
+def _streams(seed: int, chain: int, g: int, iterations: int):
+    """Three generators, each at the start of one of the streams that
+    three whole calls on default_rng((seed, chain)) would draw: first
+    letters, raw second letters, acceptance uniforms. Draws do not
+    depend on how a stream is split into calls, so the second and third
+    generators skip the stream before their own in pieces."""
     gen_a, gen_b, gen_u = (np.random.default_rng((seed, chain)) for _ in range(3))
-    for size in fills:
-        gen_b.integers(0, g, size=size)
-    gen_u.bit_generator.state = gen_b.bit_generator.state
-    for size in fills:
-        gen_u.integers(0, g - 1, size=size)
-    start = 0
-    for size in sizes:
-        lo = start % _BLOCK
-        if lo == 0:
-            fill = fills[start // _BLOCK]
-            pair_a[:fill] = gen_a.integers(0, g, size=fill)
-            raw_b = gen_b.integers(0, g - 1, size=fill)
-            pair_b[:fill] = raw_b + (raw_b >= pair_a[:fill])
-            np.log2(gen_u.random(out=log2_u[:fill]), out=log2_u[:fill])
-        yield slice(lo, lo + size)
-        start += size
+    for gen, high in ((gen_b, g), (gen_u, g - 1)):
+        gen.bit_generator.state = gen_b.bit_generator.state
+        for start in range(0, iterations, _SKIP):
+            gen.integers(0, high, size=min(_SKIP, iterations - start))
+    return gen_a, gen_b, gen_u
 
 
 def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
@@ -386,43 +375,44 @@ def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
     every = config.checkpoint_interval
 
     job_windows = [_cipher_windows(ct, model.order, g) for ct, _, _ in jobs]
-    windows = [w for w in job_windows for _ in range(per_job)]
-    inv = np.repeat([_frequency_start(ct, model) for ct, _, _ in jobs], per_job, axis=0)
+    starts = [_frequency_start(ct, model) for ct, _, _ in jobs]
+    inv = np.repeat(starts, per_job, axis=0)
     code, score, scoring = _start_chains(job_windows, inv, nll_flat, g, per_job)
     best_inv = inv.copy()
     best_score = score.copy()
-    accepts = np.zeros(len(windows), dtype=np.int64)
+    accepts = np.zeros(len(inv), dtype=np.int64)
 
     # reported scores are float rescores of best keys, made when they change
-    bits = np.array([_score_bits(*w, nll_flat, g, v) for w, v in zip(windows, inv)])
-    trace = np.empty((len(windows), 1 + math.ceil(iters / every)))
+    bits = np.repeat([_score_bits(*w, nll_flat, g, v) for w, v in zip(job_windows, starts)],
+                     per_job)
+    trace = np.empty((len(inv), 1 + math.ceil(iters / every)))
     trace[:, 0] = bits
     recorded = best_score.copy()
-    col = 1
-    # blocks of at most _BLOCK steps, cut at every checkpoint
-    cuts = np.union1d(np.arange(_BLOCK, iters, _BLOCK), np.arange(every, iters, every))
-    sizes = np.diff(cuts, prepend=0, append=iters).tolist()
-    done = 0
-    pair_a = np.empty((len(windows), min(_BLOCK, iters)), dtype=np.int64)
-    pair_b = np.empty_like(pair_a)
+    streams = [_streams(seed, i, g, iters) for _, seed, _ in jobs for i in range(per_job)]
+    # refilled in place: fresh rows at every refill raised peak RSS over repeated runs
+    pair_a, pair_b = np.empty((2, len(inv), min(_BLOCK, iters)), dtype=np.int64)
     log2_u = np.empty(pair_a.shape)
-    seeds = [seed for _, seed, _ in jobs for _ in range(per_job)]
-    streams = [
-        _proposals(seed, c % per_job, g, sizes, pair_a[c], pair_b[c], log2_u[c])
-        for c, seed in enumerate(seeds)
-    ]
-    for block, *_ in zip(*streams):  # every chain yields the same slice
-        accepts += mcmc_sweep(
-            code, inv, score, best_inv, best_score, pair_a[:, block], pair_b[:, block],
-            log2_u[:, block], scoring, config.temperature,
-        )
-        done += block.stop - block.start
-        if done % every == 0 or done == iters:
-            for c in np.flatnonzero(best_score != recorded):
-                bits[c] = _score_bits(*windows[c], nll_flat, g, best_inv[c])
-            recorded[:] = best_score
-            trace[:, col] = bits
-            col += 1
+    for start in range(0, iters, _BLOCK):
+        size = min(_BLOCK, iters - start)
+        for c, (gen_a, gen_b, gen_u) in enumerate(streams):
+            pair_a[c, :size] = gen_a.integers(0, g, size)
+            pair_b[c, :size] = gen_b.integers(0, g - 1, size)
+            gen_u.random(out=log2_u[c, :size])
+        pair_b[:, :size] += pair_b[:, :size] >= pair_a[:, :size]
+        np.log2(log2_u[:, :size], out=log2_u[:, :size])
+        # sweep to each checkpoint inside the refill, then to its end
+        cuts = [*range(start // every * every + every, start + size, every), start + size]
+        for lo, hi in zip([start, *cuts], cuts):
+            cols = slice(lo - start, hi - start)
+            accepts += mcmc_sweep(
+                code, inv, score, best_inv, best_score, pair_a[:, cols], pair_b[:, cols],
+                log2_u[:, cols], scoring, config.temperature,
+            )
+            if hi % every == 0 or hi == iters:
+                for c in np.flatnonzero(best_score != recorded):
+                    bits[c] = _score_bits(*job_windows[c // per_job], nll_flat, g, best_inv[c])
+                recorded[:] = best_score
+                trace[:, math.ceil(hi / every)] = bits
 
     results = []
     for j, (ciphertext, seed, true_key) in enumerate(jobs):

@@ -36,7 +36,8 @@ from . import __version__
 from .attack import AttackConfig, mcmc_crack, recovery_curve
 from .channel import channel_report
 from .cipher import SHIFT, SUBSTITUTION, KeySpace, SubstitutionKey, parse_keys
-from .lang import Alphabet, EmptyTextError, absolute_rate, fit_ngram, normalize_text, redundancy
+from .lang import (Alphabet, EmptyTextError, SmoothingError, absolute_rate, fit_ngram,
+                   normalize_text, redundancy)
 from .spurious import (
     build_toy_language,
     exhaustive_spurious_counts,
@@ -125,6 +126,10 @@ def _encode_text(raw: str, alphabet: Alphabet, what: str) -> np.ndarray:
         return alphabet.encode(normalize_text(raw, alphabet))
     except EmptyTextError:
         raise UsageError(f"{what} has no alphabet symbols") from None
+
+
+def _fit_model(codes: np.ndarray, cfg: dict, alphabet: Alphabet):
+    return fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet=alphabet)
 
 
 def _alphabet_from_cfg(cfg: dict) -> Alphabet:
@@ -287,7 +292,7 @@ def cmd_corpus_stats(cfg: dict) -> str:
         raise UsageError("corpus-stats requires --corpus")
     alphabet = _alphabet_from_cfg(cfg)
     codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
-    model = fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet=alphabet)
+    model = _fit_model(codes, cfg, alphabet)
     est = redundancy(model)
     counts = np.bincount(codes, minlength=alphabet.size)
     results = {
@@ -311,7 +316,7 @@ def cmd_unicity(cfg: dict) -> str:
         d = float(cfg["redundancy"])
     elif cfg["corpus"]:
         codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
-        model = fit_ngram(codes, cfg["order"], float(cfg["alpha"]), alphabet=alphabet)
+        model = _fit_model(codes, cfg, alphabet)
         d = redundancy(model).redundancy
     else:
         raise UsageError("unicity requires --redundancy or --corpus")
@@ -406,14 +411,13 @@ def cmd_attack(cfg: dict) -> str:
     if alphabet.size < 2:
         raise UsageError("attack needs at least 2 letters to propose transpositions")
     codes = _encode_text(_read_input(cfg["corpus"]), alphabet, "corpus")
-    seed = cfg["seed"]
 
     def config(train):
         return AttackConfig(
-            model=fit_ngram(train, cfg["order"], float(cfg["alpha"]), alphabet=alphabet),
+            model=_fit_model(train, cfg, alphabet),
             iterations=cfg["iterations"],
             restarts=cfg["restarts"],
-            seed=seed,
+            seed=cfg["seed"],
             temperature=float(cfg["temperature"]),
             checkpoint_interval=cfg["checkpoint_interval"],
         )
@@ -530,7 +534,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, defaults, randomized)
         _write(cfg, run(cfg))
-    except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (UsageError, SmoothingError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExperimentError, ValueError) as exc:

@@ -25,6 +25,10 @@ class EmptyTextError(ValueError):
     """Raised when normalization leaves no symbols at all."""
 
 
+class SmoothingError(ValueError):
+    """Raised when a smoothing alpha leaves some probability at 0."""
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered set of distinct single-character symbols."""
@@ -125,6 +129,8 @@ class NGramModel:
         if (self.counts < 0).any():
             raise ValueError("counts must be nonnegative")
         self.counts.flags.writeable = False
+        if not (self.conditional_probs > 0).all():  # the cost of a 0 is infinite
+            raise SmoothingError(f"smoothing alpha {self.alpha!r} rounds some probability to 0")
 
     @cached_property
     def context_totals(self) -> np.ndarray:
@@ -199,8 +205,6 @@ def fit_ngram(codes: np.ndarray, order: int, alpha: float = 0.5, *,
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 1:
         raise ValueError("corpus must be a 1-d code array")
-    if alpha <= 0:
-        raise ValueError("smoothing alpha must be > 0")
     g = alphabet.size
     if codes.size < order:
         raise ValueError(f"corpus length {codes.size} shorter than order {order}")

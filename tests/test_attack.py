@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,30 @@ class TestCrack:
         assert narrow.plaintext_accuracy == wide.plaintext_accuracy
         assert narrow.acceptance_rates == wide.acceptance_rates
         assert narrow.best_restart == wide.best_restart
+
+    def test_checkpoint_cuts_leave_walk_unchanged(self, bigram_model, english_split, space):
+        """A sweep is cut at every checkpoint, inside a refill of _BLOCK
+        proposals or at its end, and the cuts do not change the walk:
+        7 and 333 do not divide _BLOCK, and 5,000 passes the last step.
+        The trace at interval 7 holds the trace at 21 in every third
+        checkpoint."""
+        _, heldout = english_split
+        key = space.sample(np.random.default_rng(31))
+        cipher = encrypt(key, heldout[2000:2400])
+        iters = 2100
+        runs = {}
+        for every in (7, 21, 333, 5000):
+            cfg = AttackConfig(model=bigram_model, iterations=iters, restarts=3, seed=17,
+                               checkpoint_interval=every)
+            res = mcmc_crack(cipher, cfg, key)
+            runs[every] = res, res.score_trace.reshape(4, 1 + math.ceil(iters / every))
+        first, _ = runs[7]
+        for res, _ in runs.values():
+            assert res.best_key == first.best_key
+            assert res.best_score_bits == first.best_score_bits
+            assert res.acceptance_rates == first.acceptance_rates
+            assert res.best_restart == first.best_restart
+        assert np.array_equal(runs[7][1][:, ::3], runs[21][1])
 
     def test_too_short_ciphertext(self, bigram_model):
         cfg = AttackConfig(model=bigram_model, iterations=10, restarts=0, seed=0)

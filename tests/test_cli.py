@@ -627,6 +627,13 @@ MISSING_FILE = "<file: missing>"
         ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH), "--ciphertext", "QEB NRFZH",
          "--true-key-file", "<file: two keys>"],
         ["unicity", "--redundancy", "3.2", "--n-max", "99999999999999999999999"],
+        ["corpus-stats", "--corpus", str(CORPUS_PATH), "--order", "2", "--alpha", "1e-320"],
+        ["corpus-stats", "--corpus", str(CORPUS_PATH), "--order", "2", "--alpha", "1e307"],
+        ["unicity", "--corpus", str(CORPUS_PATH), "--alpha", "5e-324"],
+        ["attack", "--mode", "crack", "--corpus", str(CORPUS_PATH), "--ciphertext", "QEB NRFZH",
+         "--iterations", "50", "--alpha", "1e-320"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--lengths", "25", "--trials", "1",
+         "--iterations", "50", "--alpha", "1e307"],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
@@ -642,7 +649,8 @@ MISSING_FILE = "<file: missing>"
         "alphabet-symbols-repeated", "corpus-latin-1", "unicity-corpus-latin-1",
         "ciphertext-file-latin-1", "config-missing", "config-not-json",
         "config-alpha-past-float-range", "ciphertext-no-symbols", "true-key-file-two-keys",
-        "n-max-past-list-size",
+        "n-max-past-list-size", "alpha-underflows", "alpha-overflows", "unicity-alpha-underflows",
+        "crack-alpha-underflows", "curve-alpha-overflows",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):

@@ -2,10 +2,12 @@
 
 Generated argvs and --config files mix valid values with values of the
 wrong type or out of range. Whatever they hold, `main` returns 0, 1 or
-2, raises nothing and prints no traceback. Every value is drawn small,
-except the integers past int64 that the seed and the unicity length
-range also draw, and the flags that set the size of a run are always
-given, so no example starts heavy work.
+2, raises nothing and prints no traceback; under the suite's warning
+filter a numeric RuntimeWarning fails it too. Every value is drawn
+small, except the integers past int64 that the seed and the unicity
+length range also draw and the smoothing alphas at the ends of the float
+range, and the flags that set the size of a run are always given, so no
+example starts heavy work.
 """
 
 import contextlib
@@ -40,6 +42,8 @@ FRACTION = st.floats(0.01, 0.99)
 # integers past int64: SeedSequence takes a seed of any size, and a
 # unicity length range holding them is refused or at most 10,843 rows
 HUGE = st.sampled_from([2**63, 10**23])
+# smoothing alphas that round some model probability to 0
+EXTREME_ALPHA = st.sampled_from([5e-324, 1e-320, 1e307])
 
 # valid-looking values of each config key, kept small
 VALUES = {
@@ -49,7 +53,7 @@ VALUES = {
     "out": st.sampled_from([None, "", "."]),
     "corpus": st.sampled_from([str(CORPUS_PATH)] * 4 + ["missing.txt", ""]),
     "order": st.integers(2, 3),
-    "alpha": FRACTION,
+    "alpha": FRACTION | EXTREME_ALPHA,
     "alphabet_size": st.sampled_from([4, 2, 3, 26, 1, 0, 27]),
     "alphabet_symbols": st.sampled_from([None, "ABCD", "AB", "", "AAB", "ab"]),
     "cipher": st.sampled_from(["substitution", "shift", "rot13"]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unicity import attack
-from unicity.attack import _BLOCK, _proposals, _score_bits, _start_chains, mcmc_sweep
+from unicity.attack import _BLOCK, _score_bits, _start_chains, _streams, mcmc_sweep
 
 
 def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
@@ -196,25 +196,30 @@ class TestMcmcSweep:
         (26, [_BLOCK] * 25),
         (3, [_BLOCK] * 10),
         (2, [7]),
-        (25, [30, _BLOCK - 30, 1, _BLOCK - 1, 45, 9]),
+        (25, [30, 250, 1, 199, 45, 9]),
     ],
-    ids=["26-2500", "3-1000", "2-7", "25-254"],  # g, then the iterations at _BLOCK = 100
+    ids=["26-2500", "3-1000", "2-7", "25-254"],  # stable names: g, then an old iteration count
 )
-def test_block_streams_equal_whole_draws(g, sizes):
-    """A chain's proposals, taken in blocks of the given sizes (none
-    crossing a multiple of _BLOCK), are the three whole-stream draws
-    from default_rng((seed, chain)): first letters, raw second letters,
-    then acceptance uniforms."""
+def test_block_streams_equal_whole_draws(g, sizes, monkeypatch):
+    """A chain's proposals, drawn from its three positioned generators in
+    pieces of the given sizes, are the three whole-stream draws from
+    default_rng((seed, chain)): first letters, raw second letters, then
+    acceptance uniforms. The pieces cross multiples of _BLOCK, so the
+    draws must not depend on how they are split into calls, and the
+    skips past the earlier streams take several calls of _SKIP draws."""
+    monkeypatch.setattr(attack, "_SKIP", 97)
     iterations = sum(sizes)
     rng = np.random.default_rng((11, 4))
     pair_a = rng.integers(0, g, size=iterations)
     raw_b = rng.integers(0, g - 1, size=iterations)
     log2_u = np.log2(rng.random(size=iterations))
-    rows = (np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK))
+    gen_a, gen_b, gen_u = _streams(11, 4, g, iterations)
     blocks = [[], [], []]
-    for block in _proposals(11, 4, g, sizes, *rows):
-        for got, row in zip(blocks, rows):
-            got.append(row[block].copy())
+    for size in sizes:
+        a = gen_a.integers(0, g, size=size)
+        b = gen_b.integers(0, g - 1, size=size)
+        for got, piece in zip(blocks, (a, b + (b >= a), np.log2(gen_u.random(size)))):
+            got.append(piece)
     assert np.array_equal(np.concatenate(blocks[0]), pair_a)
     assert np.array_equal(np.concatenate(blocks[1]), raw_b + (raw_b >= pair_a))
     assert np.array_equal(np.concatenate(blocks[2]), log2_u)

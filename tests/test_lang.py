@@ -100,6 +100,19 @@ class TestFit:
         assert p_tiny > p_half
         assert abs(p_tiny - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e307])
+    def test_alpha_that_rounds_a_probability_to_zero_refused(self, latin, english_codes, alpha):
+        """A tiny alpha underflows the smoothed probability of an unseen
+        window, and a huge one overflows alpha * G, so every probability
+        is 0. Either model is refused before a log is taken."""
+        with pytest.raises(ValueError, match="alpha"):
+            fit_ngram(english_codes, 2, alpha=alpha, alphabet=latin)
+
+    def test_extreme_alpha_with_positive_probabilities_kept(self, latin, english_codes):
+        for alpha in (1e-300, 1e306):
+            model = fit_ngram(english_codes, 2, alpha=alpha, alphabet=latin)
+            assert np.isfinite(model.nll_flat).all()
+
     def test_too_short_corpus(self, latin):
         with pytest.raises(ValueError):
             fit_ngram(latin.encode("AB"), order=3, alphabet=latin)
