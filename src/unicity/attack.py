@@ -256,6 +256,12 @@ def _move_and_score(target, index, shift, work: _Round, scoring: _Scoring):
     return np.einsum(total, counts, gain)
 
 
+# At a temperature so small that delta * unit / temperature overflows, an
+# uphill move's threshold is -inf and no uniform passes it: that is the
+# exact T -> 0 limit of the acceptance probability 2**(-delta / T) for
+# delta > 0. A downhill move is accepted by delta < 0 whatever its +inf
+# threshold, and a level one's threshold is -0.0 at any T.
+@np.errstate(over="ignore")
 def mcmc_sweep(
     code: np.ndarray,
     inv: np.ndarray,

@@ -2,18 +2,16 @@
 
 A key is a permutation of alphabet indices mapping plaintext symbol to
 ciphertext symbol. Key spaces carry exact key counts and key entropy
-under the uniform prior, sample keys uniformly, and list every key in
-lexicographic order. Each key family is a group (S_G or Z_G) acting on
-messages, and `KeySpace.orbit_classes` describes its orbits; counts over
-a key space come from those orbits, not from listing its keys.
+under the uniform prior and sample keys uniformly. Each key family is a
+group (S_G or Z_G) acting on messages, and `KeySpace.orbit_classes`
+describes its orbits; counts over a key space come from those orbits,
+not from listing its keys.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -63,14 +61,6 @@ class SubstitutionKey:
     @classmethod
     def from_string(cls, image: str, alphabet: Alphabet) -> "SubstitutionKey":
         return cls(alphabet.encode(image))
-
-    @classmethod
-    def identity(cls, g: int) -> "SubstitutionKey":
-        return cls(np.arange(g, dtype=np.int64))
-
-    @classmethod
-    def shift(cls, g: int, offset: int) -> "SubstitutionKey":
-        return cls._of_permutation((np.arange(g, dtype=np.int64) + int(offset)) % g)
 
     def __eq__(self, other):
         if not isinstance(other, SubstitutionKey):
@@ -124,21 +114,21 @@ class KeySpace:
         return math.log2(g)
 
     def sample(self, rng: np.random.Generator) -> SubstitutionKey:
-        g = self.alphabet.size
-        if self.kind == SUBSTITUTION:
-            return SubstitutionKey._of_permutation(rng.permutation(g).astype(np.int64))
-        return SubstitutionKey.shift(g, int(rng.integers(g)))
+        return SubstitutionKey._of_permutation(self.sample_mappings(rng, 1)[0])
 
-    def enumerate_mappings(self) -> Iterator[tuple[int, ...]]:
-        """All key mappings in lexicographic order, as index tuples."""
-        g = self.alphabet.size
-        if self.kind == SUBSTITUTION:
-            return iter(itertools.permutations(range(g)))
-        return (tuple((np.arange(g) + off) % g) for off in range(g))
+    def sample_mappings(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """(n, G) int64 mappings of n uniform keys, drawn as one block.
 
-    def enumerate_keys(self) -> Iterator[SubstitutionKey]:
-        for mapping in self.enumerate_mappings():
-            yield SubstitutionKey(np.array(mapping, dtype=np.int64))
+        Row i is the key that the i-th of n single draws would give:
+        rng.permutation(G) for substitution, a rotation by rng.integers(G)
+        for shift. The generator ends where those n draws leave it, so one
+        block of n and n blocks of one draw the same keys.
+        """
+        g = self.alphabet.size
+        letters = np.arange(g, dtype=np.int64)
+        if self.kind == SUBSTITUTION:
+            return rng.permuted(np.tile(letters, (n, 1)), axis=1)
+        return (letters + rng.integers(g, size=(n, 1))) % g
 
     def orbit_classes(self, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Orbit label and stabilizer size of each (M, N) message row.

@@ -174,13 +174,6 @@ class NGramModel:
         idx = encode_rows(sliding_window_view(codes, self.order), self.alphabet.size)
         return float(self.nll_flat[idx].sum())
 
-    @classmethod
-    def uniform(cls, alphabet: Alphabet, order: int = 1) -> "NGramModel":
-        """Analytically uniform model: every window seen exactly once."""
-        g = alphabet.size
-        counts = np.ones((g ** (order - 1), g), dtype=np.int64)
-        return cls(alphabet, order, 0.5, counts, total_symbols=0)
-
 
 def encode_rows(rows: np.ndarray, g: int) -> np.ndarray:
     """Base-g code of each row along the last axis, first letter most

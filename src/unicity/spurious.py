@@ -200,12 +200,14 @@ def monte_carlo_spurious(
     """Sampling stand-in for exhaustive counting.
 
     Each trial draws a member message of the language and a true key,
-    then samples keys uniformly, redrawing any that equal the true key,
-    until keys_per_trial wrong keys are in. The fraction of them that
-    decrypt the ciphertext to a member is scaled up to the key_count - 1
-    wrong keys; a trial's wrong keys are inverted, applied and looked up
-    as one array. Per-trial generators derive from (seed, trial), so the
-    result does not depend on evaluation order.
+    then its keys_per_trial candidate keys as one block. Rows equal to
+    the true key are dropped and as many keys drawn again, until none is
+    left: the trial keeps the first keys_per_trial wrong keys in draw
+    order, as one draw at a time with redraws would. The fraction of them
+    that decrypt the ciphertext to a member is scaled up to the
+    key_count - 1 wrong keys; a trial's wrong keys are inverted, applied
+    and looked up as one array. Per-trial generators derive from
+    (seed, trial), so the result does not depend on evaluation order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -223,13 +225,12 @@ def monte_carlo_spurious(
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         plain = language.sample_message(rng)
-        true_key = space.sample(rng)
-        ciphertext = true_key.mapping[plain]
-        wrong = []
-        while len(wrong) < keys_per_trial:
-            cand = space.sample(rng).mapping
-            if not np.array_equal(cand, true_key.mapping):
-                wrong.append(cand)
+        true_key = space.sample(rng).mapping
+        ciphertext = true_key[plain]
+        wrong = np.empty((0, g), dtype=np.int64)
+        while short := keys_per_trial - len(wrong):
+            drawn = space.sample_mappings(rng, short)
+            wrong = np.concatenate([wrong, drawn[(drawn != true_key).any(axis=1)]])
         decrypted = np.argsort(wrong, axis=1)[:, ciphertext]  # inverse keys applied
         accepted = np.count_nonzero(language.contains_codes(encode_rows(decrypted, g)))
         estimates[t] = wrong_total * (accepted / keys_per_trial)

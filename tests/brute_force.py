@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from unicity import SHIFT, SUBSTITUTION, Alphabet, KeySpace, build_toy_language, encrypt
+from unicity import SHIFT, SUBSTITUTION, Alphabet, KeySpace, build_toy_language
 
 
 def small_instances(seed=0):
@@ -44,16 +44,17 @@ def spurious_count(keys, members, true_key, message):
 
 
 def dense_joint_oracle(language, keys):
-    """From-scratch joint distribution using only the public cipher API:
-    a (set size, G**N) matrix of probabilities."""
+    """From-scratch joint distribution over every (message, key tuple)
+    pair, with no cipher code: a (set size, G**N) matrix of
+    probabilities."""
     g = language.alphabet.size
-    total_codes = g**language.length
-    joint = np.zeros((language.size, total_codes))
+    joint = np.zeros((language.size, g**language.length))
     w = 1.0 / (language.size * len(keys))
-    pows = g ** np.arange(language.length - 1, -1, -1)
-    for mi, msg in enumerate(language.messages):
+    for mi, msg in enumerate(language.messages.tolist()):
         for key in keys:
-            code = int(encrypt(key, msg) @ pows)
+            code = 0
+            for s in msg:
+                code = code * g + key[s]
             joint[mi, code] += w
     return joint
 
@@ -85,18 +86,26 @@ def rejection_sample(total, want, rng):
 def monte_carlo_estimates(space, language, trials, seed, keys_per_trial):
     """Per-trial estimates of monte_carlo_spurious with one candidate at a
     time: the same draws from default_rng((seed, trial)) (message, true
-    key, then candidates, redrawing the true key), each wrong key
+    key, then candidates, redrawing the true key), each key drawn here as
+    rng.permutation(G) or a rotation by rng.integers(G), each wrong key
     inverted and its decryption looked up among the member messages."""
+    g = space.alphabet.size
     members = set(map(tuple, language.messages.tolist()))
+
+    def draw(rng):
+        if space.kind == SUBSTITUTION:
+            return tuple(rng.permutation(g).tolist())
+        return tuple(((np.arange(g) + rng.integers(g)) % g).tolist())
+
     estimates = []
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         plain = language.sample_message(rng)
-        true_key = tuple(space.sample(rng).mapping.tolist())
+        true_key = draw(rng)
         cipher = [true_key[s] for s in plain]
         accepted = wrong = 0
         while wrong < keys_per_trial:
-            cand = tuple(space.sample(rng).mapping.tolist())
+            cand = draw(rng)
             if cand == true_key:
                 continue
             wrong += 1

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from unicity import Alphabet, fit_ngram, normalize_text
 
@@ -6,6 +7,13 @@ from pathlib import Path
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 CORPUS_PATH = DATA_DIR / "english_sample.txt"
+
+# Hypothesis profiles. "tier1", the default, checks the same 300 examples
+# on every run; `pytest --hypothesis-profile wide` searches 3,000 fresh
+# ones. Neither keeps an example database.
+settings.register_profile("tier1", max_examples=300, derandomize=True, database=None)
+settings.register_profile("wide", max_examples=3000, derandomize=False, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -28,13 +28,15 @@ def space(latin):
 
 class TestConfig:
     def test_order_one_model_rejected(self, latin):
-        model = NGramModel.uniform(latin, order=1)
+        model = NGramModel(latin, 1, 0.5, np.ones((1, 26), dtype=np.int64), total_symbols=0)
         with pytest.raises(ValueError):
             AttackConfig(model=model)
 
     def test_one_letter_alphabet_rejected(self):
+        one = NGramModel(Alphabet.first_n(1), 2, 0.5, np.ones((1, 1), dtype=np.int64),
+                         total_symbols=0)
         with pytest.raises(ValueError, match="2 letters"):
-            AttackConfig(model=NGramModel.uniform(Alphabet.first_n(1), order=2))
+            AttackConfig(model=one)
 
     def test_parameter_validation(self, bigram_model):
         with pytest.raises(ValueError):

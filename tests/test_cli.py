@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ class TestAttack:
         from unicity import SubstitutionKey, encrypt
 
         _, heldout = english_split
-        key = SubstitutionKey.shift(26, 3)
+        key = SubstitutionKey((np.arange(26) + 3) % 26)
         plain = latin.decode(heldout[:400])
         cipher_text = latin.decode(encrypt(key, latin.encode(plain)))
         code, out, _ = run_cli(
@@ -364,7 +365,7 @@ class TestAttack:
         from unicity import SubstitutionKey, encrypt
 
         _, heldout = english_split
-        key = SubstitutionKey.shift(26, 5)
+        key = SubstitutionKey((np.arange(26) + 5) % 26)
         cipher_text = latin.decode(encrypt(key, heldout[:200]))
         code, out, _ = run_cli(
             capsys, "attack", "--mode", "crack", "--order", str(order), "--corpus",
@@ -381,7 +382,7 @@ class TestAttack:
         from unicity import SubstitutionKey, encrypt
 
         _, heldout = english_split
-        key = SubstitutionKey.shift(26, 5)
+        key = SubstitutionKey((np.arange(26) + 5) % 26)
         key_path = tmp_path / "key.txt"
         key_path.write_text(key.as_string(latin) + "\n")
         cipher_text = latin.decode(encrypt(key, heldout[:300]))
@@ -484,6 +485,21 @@ class TestAttack:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("temperature", ["5e-324", "1e-320", "1e-307", "1e308"])
+    def test_crack_extreme_temperature(self, capsys, temperature):
+        """Temperatures at both ends of the float range run without a
+        numeric warning: an overflowing threshold is the T -> 0 limit."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "attack", "--mode", "crack", "--corpus", str(CORPUS_PATH),
+                "--ciphertext", "QEB NRFZH YOLTK CLU", "--iterations", "300",
+                "--temperature", temperature, "--seed", "1",
+            )
+        assert code == 0 and out
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestConfigHandling:

@@ -5,9 +5,11 @@ wrong type or out of range. Whatever they hold, `main` returns 0, 1 or
 2, raises nothing and prints no traceback; under the suite's warning
 filter a numeric RuntimeWarning fails it too. Every value is drawn
 small, except the integers past int64 that the seed and the unicity
-length range also draw and the smoothing alphas at the ends of the float
-range, and the flags that set the size of a run are always given, so no
-example starts heavy work.
+length range also draw and the smoothing alphas and temperatures at the
+ends of the float range, and the flags that set the size of a run are
+always given, so no example starts heavy work. How many examples run,
+and whether they are the same on every run, is set by the hypothesis
+profile that conftest.py registers.
 """
 
 import contextlib
@@ -44,6 +46,8 @@ FRACTION = st.floats(0.01, 0.99)
 HUGE = st.sampled_from([2**63, 10**23])
 # smoothing alphas that round some model probability to 0
 EXTREME_ALPHA = st.sampled_from([5e-324, 1e-320, 1e307])
+# temperatures at which a Metropolis threshold overflows or underflows
+EXTREME_TEMPERATURE = st.sampled_from([5e-324, 1e-320, 1e308])
 
 # valid-looking values of each config key, kept small
 VALUES = {
@@ -69,7 +73,7 @@ VALUES = {
     "keys_per_trial": SMALL,
     "iterations": st.integers(1, 40),
     "restarts": st.integers(0, 1),
-    "temperature": FRACTION,
+    "temperature": FRACTION | EXTREME_TEMPERATURE,
     "checkpoint_interval": st.integers(1, 20),
     "holdout_fraction": FRACTION,
     "ciphertext": st.sampled_from(["QEBNRFZHYOLTK", "", "123"]),
@@ -156,8 +160,7 @@ def invocations(draw):
     return argv, config
 
 
-@settings(max_examples=300, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_main_keeps_exit_code_contract(invocation):
     argv, config = invocation

@@ -124,7 +124,7 @@ class TestFit:
 
 class TestEntropyRate:
     def test_uniform_model_exact(self, latin):
-        model = NGramModel.uniform(latin, order=1)
+        model = NGramModel(latin, 1, 0.5, np.ones((1, 26), dtype=np.int64), total_symbols=0)
         assert abs(model.entropy_rate() - math.log2(26)) < 1e-9
         est = redundancy(model)
         assert abs(est.redundancy) < 1e-9
@@ -172,7 +172,7 @@ class TestRedundancy:
 class TestSequenceLikelihood:
     def test_uniform_two_symbols(self):
         ab = Alphabet.first_n(2)
-        model = NGramModel.uniform(ab, order=1)
+        model = NGramModel(ab, 1, 0.5, np.ones((1, 2), dtype=np.int64), total_symbols=0)
         assert abs(model.sequence_nll(ab.encode("AB")) - 2.0) < 1e-12
 
     def test_rare_symbol_cost_grows_as_alpha_shrinks(self):

@@ -35,6 +35,14 @@ ARGVS = {
     "spurious-monte-carlo": ["spurious", "--mode", "monte-carlo", "--alphabet-size", "4",
                              "--length", "3", "--constructions", "3", "--trials", "5",
                              "--keys-per-trial", "20", "--seed", "1"],
+    "spurious-monte-carlo-shift": ["spurious", "--mode", "monte-carlo", "--cipher", "shift",
+                                   "--alphabet-size", "5", "--length", "3",
+                                   "--constructions", "3", "--trials", "5",
+                                   "--keys-per-trial", "7", "--seed", "2"],
+    # one candidate per trial out of one wrong key: every other draw is the true key
+    "spurious-monte-carlo-g2": ["spurious", "--mode", "monte-carlo", "--alphabet-size", "2",
+                                "--length", "4", "--rate", "0.5", "--constructions", "3",
+                                "--trials", "6", "--keys-per-trial", "1", "--seed", "3"],
     "channel": ["channel", "--alphabet-size", "4", "--lengths", "1,2,3", "--seed", "1"],
     "attack-crack": ["attack", "--mode", "crack", "--corpus", CORPUS, "--ciphertext",
                      CIPHERTEXT, "--true-key", TRUE_KEY, "--iterations", "300",
@@ -56,6 +64,10 @@ DIGESTS = {
     ("spurious-exhaustive", "json"): "fd18c153fa6eb0f311febf487df22f715352140fe8dcdcdf7c1b6a7f473d9d09",
     ("spurious-monte-carlo", "csv"): "72b395704335a339a726bbe2254ed7db25edb6b6a2ac5d0688a055a6eb8a9ed1",
     ("spurious-monte-carlo", "json"): "30ed878fde7a74ea8d72f23c26ff6510af767549af977a1eca60468c2b51bcd5",
+    ("spurious-monte-carlo-g2", "csv"): "1ff4aa277bcafb6438df6e2f0aa04168248f9f8e003137f7c37b478a51769a8c",
+    ("spurious-monte-carlo-g2", "json"): "a43be0411b9f7ce1eb1c1357296d66b03dcecc8b0c508dec30ea231172c547c9",
+    ("spurious-monte-carlo-shift", "csv"): "1f26efc3599924ea4e95184523a38e25cb9150872d8a953d870478dba79817ef",
+    ("spurious-monte-carlo-shift", "json"): "8a16ee28315586f527f7db29824a1436b91ee5c0367c1a21db9e325386bf642c",
     ("unicity", "csv"): "606243a6e4733b02356b1b70b53f065283856f608b7f0b2cf02a5b9f7af85645",
     ("unicity", "json"): "e7973aab3db89e5ff648f817c65660ac9fefcd66a97fc3765b6ed438d5bb7fb4",
     ("unicity-corpus", "csv"): "5ed90a46db437a965ddd79378fc739e435c8cac64a01f15754fbdff42f45e34b",

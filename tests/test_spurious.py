@@ -245,10 +245,11 @@ class TestMonteCarlo:
         one = Alphabet.first_n(1)
         toy = build_toy_language(one, 3, 0.0, seed=0)  # the one message AAA
 
-        def no_draw(space, rng):
+        def no_draw(space, rng, n=1):
             raise AssertionError("no key should be drawn")
 
         monkeypatch.setattr(KeySpace, "sample", no_draw)
+        monkeypatch.setattr(KeySpace, "sample_mappings", no_draw)
         est = monte_carlo_spurious(KeySpace(SUBSTITUTION, one), toy, 3, trials=4, seed=0)
         assert (est.mean, est.se) == (0.0, 0.0)
 
