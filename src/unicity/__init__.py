@@ -24,17 +24,13 @@ from .spurious import (
     MonteCarloEstimate,
     SpuriousExpectation,
     ToyLanguage,
-    UnicityReport,
     build_toy_language,
     exhaustive_spurious_counts,
     expected_spurious_keys,
     monte_carlo_spurious,
     unicity_distance,
-    unicity_report,
 )
 from .channel import (
-    ChannelReport,
-    channel_report,
     mutual_information,
     reliability_check,
     theoretical_mutual_information,
@@ -53,7 +49,6 @@ __all__ = [
     "Alphabet",
     "AttackConfig",
     "AttackResult",
-    "ChannelReport",
     "EmptyTextError",
     "KeySpace",
     "MonteCarloEstimate",
@@ -65,10 +60,8 @@ __all__ = [
     "SpuriousExpectation",
     "SubstitutionKey",
     "ToyLanguage",
-    "UnicityReport",
     "absolute_rate",
     "build_toy_language",
-    "channel_report",
     "decrypt",
     "encrypt",
     "exhaustive_spurious_counts",
@@ -81,6 +74,5 @@ __all__ = [
     "recovery_curve",
     "redundancy",
     "unicity_distance",
-    "unicity_report",
     "__version__",
 ]

@@ -493,7 +493,6 @@ class RecoveryCurveResult:
     rows: tuple[AttackTrialRow, ...]
     summaries: tuple[LengthSummary, ...]
     unicity_letters: float
-    seed: int
 
 
 def _trial_job(corpus, space, seed, length, run_index):
@@ -575,5 +574,4 @@ def recovery_curve(
         rows=tuple(rows),
         summaries=tuple(summaries),
         unicity_letters=unicity_distance(space.key_entropy_bits, d),
-        seed=config.seed,
     )

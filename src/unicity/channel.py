@@ -1,23 +1,25 @@
 """Encryption viewed as a discrete channel with the key as noise.
 
+The idealized mutual information is the straight line N*R0 - H(K)
+(`theoretical_mutual_information`). N*R bits of message get through
+reliably when N*R <= N*R0 - H(K), that is from the crossover length
+H(K)/(R0 - R) on, which is the unicity distance (`reliability_check`).
 For toy languages the exact mutual information follows from the key
 group's orbits: under a uniform key, the ciphertext of a message is
 uniform on the message's orbit, so I(P;C) is the entropy of the orbit
 class of P. Both chain-rule decompositions are evaluated separately
-from the class counts and orbit sizes and compared against the
-idealized straight line N*R0 - H(K).
+from the class counts and orbit sizes (`mutual_information`). The CLI's
+`channel` command puts the three side by side, one row per length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .cipher import KeySpace
-from .lang import absolute_rate
 from .spurious import ToyLanguage, unicity_distance
 
 
@@ -88,40 +90,3 @@ def mutual_information(language: ToyLanguage, space: KeySpace) -> tuple[float, f
     i_b = h_c - float(log2_orbit.mean())
     return i_a, i_b
 
-
-@dataclass(frozen=True)
-class ChannelReport:
-    length: int
-    rate_max: float
-    rate: float
-    key_entropy_bits: float
-    theoretical_bits: float
-    clamped: bool
-    empirical_a_bits: float
-    empirical_b_bits: float
-    reliable: bool
-    min_reliable_length: float
-
-
-def channel_report(language: ToyLanguage, space: KeySpace) -> ChannelReport:
-    """Exact mutual information of one toy instance, by both
-    decompositions, against the idealized value."""
-    r0 = absolute_rate(language.alphabet)
-    r = language.rate
-    h_k = space.key_entropy_bits
-    n = language.length
-    i_a, i_b = mutual_information(language, space)
-    theo = theoretical_mutual_information(n, r0, h_k)
-    rel = reliability_check(n, r, r0, h_k)
-    return ChannelReport(
-        length=n,
-        rate_max=r0,
-        rate=r,
-        key_entropy_bits=h_k,
-        theoretical_bits=theo.bits,
-        clamped=theo.clamped,
-        empirical_a_bits=i_a,
-        empirical_b_bits=i_b,
-        reliable=rel.reliable,
-        min_reliable_length=rel.min_length,
-    )

@@ -4,7 +4,8 @@ Subcommands: corpus-stats, unicity, spurious, channel, attack. Each
 parameter is declared once, in PARAMS (type, accepted values, test,
 help), and each subcommand's defaults once, in COMMANDS; the parser,
 each subcommand's --help and the checks are built from the two tables.
-The flag --x-y sets the config key x_y. Every run resolves its
+The flag --x-y sets the config key x_y. Each command builds its own
+report rows from the library's functions. Every run resolves its
 parameters from built-in defaults, then an optional JSON config file
 (--config), then explicit flags, and embeds the fully resolved config
 and all seeds in the output, so reruns with the same embedded config
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .attack import AttackConfig, mcmc_crack, recovery_curve
-from .channel import channel_report
+from .channel import mutual_information, reliability_check, theoretical_mutual_information
 from .cipher import SHIFT, SUBSTITUTION, KeySpace, SubstitutionKey, parse_keys
 from .lang import (Alphabet, EmptyTextError, SmoothingError, absolute_rate, fit_ngram,
                    normalize_text, redundancy)
@@ -43,7 +44,7 @@ from .spurious import (
     exhaustive_spurious_counts,
     expected_spurious_keys,
     monte_carlo_spurious,
-    unicity_report,
+    unicity_distance,
 )
 
 CORPUS_DIR_ENV = "UNICITY_CORPUS_DIR"
@@ -324,22 +325,27 @@ def cmd_unicity(cfg: dict) -> str:
         lengths = list(range(cfg["n_min"], cfg["n_max"] + 1, cfg["n_step"]))
     except (OverflowError, MemoryError):  # more lengths than a list can hold
         raise UsageError("n-min to n-max in steps of n-step spans too many lengths") from None
-    # zero or negative measured redundancy: no length rules a key out
-    report = unicity_report(space.key_entropy_bits, max(d, 0.0), lengths)
+    h_k = space.key_entropy_bits
+    d_used = max(d, 0.0)  # zero or negative measured redundancy: no length rules a key out
+    table = []
+    for n in lengths:
+        expected = expected_spurious_keys(h_k, d_used, n)
+        table.append({
+            "N": n,
+            "expected_spurious_log2": expected.log2_exact,
+            "expected_spurious_approx_log2": expected.log2_approx,
+            "expected_spurious_linear": expected.linear,
+        })
+    below = [row["N"] for row in table if row["expected_spurious_log2"] < 0]
     results = {
         "cipher": cfg["cipher"],
-        "key_entropy_bits": report.key_entropy_bits,
+        "key_entropy_bits": h_k,
         "redundancy_bits_per_letter": d,
-        "unicity_distance_letters": report.unicity_letters,
-        "first_length_below_one": report.first_length_below_one,
-        "table": [
-            _as_row(row, N="length", expected_spurious_log2="log2_exact",
-                    expected_spurious_approx_log2="log2_approx",
-                    expected_spurious_linear="linear")
-            for row in report.table
-        ],
+        "unicity_distance_letters": unicity_distance(h_k, d_used),
+        "first_length_below_one": below[0] if below else None,
+        "table": table,
     }
-    rows = [{**results, **row} for row in results["table"]]
+    rows = [{**results, **row} for row in table]
     columns = ["N", "H_K_bits=key_entropy_bits", "D_bits_per_letter=redundancy_bits_per_letter",
                "expected_spurious_log2", "expected_spurious_approx_log2",
                "expected_spurious_linear"]
@@ -387,17 +393,27 @@ def cmd_spurious(cfg: dict) -> str:
 def cmd_channel(cfg: dict) -> str:
     alphabet = _alphabet_from_cfg(cfg)
     space = KeySpace(cfg["cipher"], alphabet)
+    h_k = space.key_entropy_bits
+    r0 = absolute_rate(alphabet)
     rows = []
     for n in _parse_lengths(cfg["lengths"]):
         toy = build_toy_language(alphabet, n, float(cfg["rate"]), _derived_seed(cfg["seed"], n))
-        rep = channel_report(toy, space)
-        row = _as_row(
-            rep, N="length", R0_bits_per_letter="rate_max", R_bits_per_letter="rate",
-            H_K_bits="key_entropy_bits", I_theoretical="theoretical_bits",
-            I_empA="empirical_a_bits", I_empB="empirical_b_bits", N_min="min_reliable_length",
-        )
-        row["empirical_vs_theoretical_gap"] = rep.empirical_a_bits - rep.theoretical_bits
-        rows.append(row)
+        i_a, i_b = mutual_information(toy, space)
+        theo = theoretical_mutual_information(n, r0, h_k)
+        rel = reliability_check(n, toy.rate, r0, h_k)
+        rows.append({
+            "N": n,
+            "R0_bits_per_letter": r0,
+            "R_bits_per_letter": toy.rate,
+            "H_K_bits": h_k,
+            "I_theoretical": theo.bits,
+            "clamped": theo.clamped,
+            "I_empA": i_a,
+            "I_empB": i_b,
+            "reliable": rel.reliable,
+            "N_min": rel.min_length,
+            "empirical_vs_theoretical_gap": i_a - theo.bits,
+        })
     columns = ["N", "I_theoretical", "I_empA", "I_empB", "reliable", "N_min", "clamped"]
     return _emit(cfg, "channel", {"rows": rows}, rows, columns)
 

@@ -12,7 +12,9 @@ the message itself, so it is always spurious.
 Exact counts for a toy language come from the orbits of the key group
 (`KeySpace.orbit_classes`), without enumerating keys, at every G up to
 26. A seeded Monte Carlo estimate, which samples wrong keys, is kept
-beside them as an independent check.
+beside them as an independent check. The CLI's `unicity` command
+tabulates the estimate and the bound over a range of lengths, and its
+`spurious` command sets the estimate beside the counts.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .cipher import KeySpace
-from .lang import Alphabet, decode_codes, encode_rows
+from .lang import Alphabet, absolute_rate, decode_codes, encode_rows
 
 _MAX_CODE_BITS = 62
 
@@ -48,14 +50,13 @@ class SpuriousExpectation:
     the estimate evaluated exactly, with the -1 for the true key kept. It
     is not the exact expectation for any given cipher (see the module
     docstring). linear is the same value, or None when it exceeds 2**52.
-    log2_approx drops the -1 term; gap is the linear difference between
-    the approximation and the exact value, which is exactly 2**(-N*D).
+    log2_approx drops the -1 term, which changes the linear value by
+    exactly 2**(-N*D).
     """
 
     log2_exact: float
     linear: float | None
     log2_approx: float
-    gap: float
 
 
 def expected_spurious_keys(
@@ -72,12 +73,7 @@ def expected_spurious_keys(
         log2_minus_one = h + math.log1p(-(2.0**-h)) / math.log(2)
     log2_exact = log2_minus_one - nd
     linear = 2.0**log2_exact if log2_exact < 52 else None
-    return SpuriousExpectation(
-        log2_exact=log2_exact,
-        linear=linear,
-        log2_approx=h - nd,
-        gap=2.0**-nd,
-    )
+    return SpuriousExpectation(log2_exact=log2_exact, linear=linear, log2_approx=h - nd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +83,6 @@ class ToyLanguage:
     alphabet: Alphabet
     length: int
     codes: np.ndarray  # sorted base-G codes of the member messages
-    seed: int
 
     def __post_init__(self):
         arr = np.asarray(self.codes, dtype=np.int64)
@@ -105,7 +100,10 @@ class ToyLanguage:
 
     @property
     def rate(self) -> float:
-        """Achieved bits per letter: log2(set size) / length."""
+        """Achieved bits per letter: log2(size) / length, but exactly log2(G)
+        for all G**length messages, where the quotient rounds to either side."""
+        if self.size == self.alphabet.size**self.length:
+            return absolute_rate(self.alphabet)
         return math.log2(self.size) / self.length
 
     @cached_property
@@ -163,7 +161,7 @@ def build_toy_language(
             fresh = batch[np.sort(first)]
             fresh = fresh[~np.isin(fresh, codes)]
             codes = np.concatenate([codes, fresh[: want - codes.size]])
-    return ToyLanguage(alphabet=alphabet, length=length, codes=codes, seed=seed)
+    return ToyLanguage(alphabet=alphabet, length=length, codes=codes)
 
 
 def exhaustive_spurious_counts(space: KeySpace, language: ToyLanguage) -> np.ndarray:
@@ -185,8 +183,6 @@ def exhaustive_spurious_counts(space: KeySpace, language: ToyLanguage) -> np.nda
 class MonteCarloEstimate:
     mean: float
     se: float
-    trials: int
-    seed: int
 
 
 def monte_carlo_spurious(
@@ -218,9 +214,7 @@ def monte_carlo_spurious(
     g = language.alphabet.size
     wrong_total = space.key_count - 1
     if wrong_total == 0:  # a one-key space has no wrong key to sample
-        return MonteCarloEstimate(
-            mean=0.0, se=0.0 if trials > 1 else math.nan, trials=trials, seed=seed
-        )
+        return MonteCarloEstimate(mean=0.0, se=0.0 if trials > 1 else math.nan)
     estimates = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
@@ -236,52 +230,5 @@ def monte_carlo_spurious(
         estimates[t] = wrong_total * (accepted / keys_per_trial)
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
-    return MonteCarloEstimate(mean=mean, se=se, trials=trials, seed=seed)
+    return MonteCarloEstimate(mean=mean, se=se)
 
-
-@dataclass(frozen=True)
-class SpuriousTableRow:
-    length: int
-    log2_exact: float
-    log2_approx: float
-    linear: float | None
-
-
-@dataclass(frozen=True)
-class UnicityReport:
-    key_entropy_bits: float
-    redundancy_bits: float
-    unicity_letters: float  # math.inf when redundancy is zero
-    first_length_below_one: int | None
-    table: tuple[SpuriousTableRow, ...]
-
-
-def unicity_report(
-    key_entropy_bits: float, redundancy_bits: float, lengths: list[int]
-) -> UnicityReport:
-    """Unicity distance plus the expected-spurious-keys curve.
-
-    first_length_below_one is the first swept length where the expected
-    count drops under 1 (the curve's crossing, not a claim about where
-    uniqueness is certain)."""
-    rows = []
-    first_below = None
-    for n in lengths:
-        exp = expected_spurious_keys(key_entropy_bits, redundancy_bits, n)
-        rows.append(
-            SpuriousTableRow(
-                length=n,
-                log2_exact=exp.log2_exact,
-                log2_approx=exp.log2_approx,
-                linear=exp.linear,
-            )
-        )
-        if first_below is None and exp.log2_exact < 0:
-            first_below = n
-    return UnicityReport(
-        key_entropy_bits=key_entropy_bits,
-        redundancy_bits=redundancy_bits,
-        unicity_letters=unicity_distance(key_entropy_bits, redundancy_bits),
-        first_length_below_one=first_below,
-        table=tuple(rows),
-    )

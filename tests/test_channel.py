@@ -11,7 +11,6 @@ from unicity import (
     Alphabet,
     KeySpace,
     build_toy_language,
-    channel_report,
     mutual_information,
     reliability_check,
     theoretical_mutual_information,
@@ -144,35 +143,11 @@ class TestEmpiricalMI:
                     assert -1e-9 <= i <= math.log2(toy.size) + 1e-9
 
 
-class TestChannelReport:
-    def test_fields_roundtrip(self):
-        ab = Alphabet.first_n(4)
-        toy = build_toy_language(ab, 3, 1.0, seed=5)
-        space = KeySpace(SUBSTITUTION, ab)
-        rep = channel_report(toy, space)
-        assert rep.length == 3
-        assert abs(rep.rate_max - 2.0) < 1e-12
-        assert abs(rep.rate - 1.0) < 1e-12
-        assert abs(rep.key_entropy_bits - math.log2(24)) < 1e-12
-        assert abs(rep.theoretical_bits - (6 - math.log2(24))) < 1e-12
-        assert not rep.clamped
-        assert abs(rep.empirical_a_bits - rep.empirical_b_bits) <= 1e-9
-        assert not rep.reliable  # N=3 < N_min = log2(24)/(2-1) = 4.585
-        assert abs(rep.min_reliable_length - math.log2(24)) < 1e-12
-
-    def test_min_length_equals_unicity_distance(self):
-        ab = Alphabet.first_n(4)
-        toy = build_toy_language(ab, 3, 1.0, seed=6)
-        rep = channel_report(toy, KeySpace(SUBSTITUTION, ab))
-        assert rep.min_reliable_length == unicity_distance(
-            rep.key_entropy_bits, rep.rate_max - rep.rate
-        )
-
     def test_large_alphabet_stays_in_log_domain(self):
         """At G = 26 a message's stabilizer has at least 22! elements,
         past int64; both decompositions still agree."""
         ab = Alphabet.first_n(26)
         toy = build_toy_language(ab, 4, 2.0, seed=2)
-        rep = channel_report(toy, KeySpace(SUBSTITUTION, ab))
-        assert abs(rep.empirical_a_bits - rep.empirical_b_bits) <= 1e-9
-        assert 0.0 <= rep.empirical_a_bits <= math.log2(toy.size)
+        i_a, i_b = mutual_information(toy, KeySpace(SUBSTITUTION, ab))
+        assert abs(i_a - i_b) <= 1e-9
+        assert 0.0 <= i_a <= math.log2(toy.size)

@@ -5,7 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from unicity.cli import main
+from unicity import (
+    SUBSTITUTION,
+    Alphabet,
+    KeySpace,
+    build_toy_language,
+    expected_spurious_keys,
+    mutual_information,
+    reliability_check,
+    theoretical_mutual_information,
+    unicity_distance,
+)
+from unicity.cli import _derived_seed, main
 
 from conftest import CORPUS_PATH
 
@@ -112,6 +123,9 @@ class TestUnicity:
         assert abs(res["key_entropy_bits"] - 88.3817) < 1e-3
         assert abs(res["unicity_distance_letters"] - 27.6194) < 1e-3
         assert res["first_length_below_one"] == 28
+        assert [row["N"] for row in res["table"]] == list(range(51))
+        logs = [row["expected_spurious_log2"] for row in res["table"]]
+        assert all(a > b for a, b in zip(logs, logs[1:]))
 
     def test_shift(self, capsys):
         code, out, _ = run_cli(
@@ -126,7 +140,40 @@ class TestUnicity:
             capsys, "unicity", "--redundancy", "0", "--format", "json"
         )
         assert code == 0
-        assert json.loads(out)["results"]["unicity_distance_letters"] == "unbounded"
+        res = json.loads(out)["results"]
+        assert res["unicity_distance_letters"] == "unbounded"
+        assert res["first_length_below_one"] is None
+
+    @pytest.mark.parametrize("redundancy, used", [(3.2, 3.2), (0.7, 0.7), (-0.5, 0.0)])
+    def test_json_rows_match_expected_spurious_keys(self, capsys, redundancy, used):
+        """Each table row holds expected_spurious_keys at its length; a
+        negative measured redundancy is reported as given and tabulated
+        as zero."""
+        code, out, _ = run_cli(
+            capsys, "unicity", "--redundancy", str(redundancy), "--n-min", "2",
+            "--n-max", "40", "--n-step", "3", "--format", "json",
+        )
+        assert code == 0
+        res = json.loads(out)["results"]
+        h_k = KeySpace(SUBSTITUTION, Alphabet.first_n(26)).key_entropy_bits
+        assert res["key_entropy_bits"] == h_k
+        assert res["redundancy_bits_per_letter"] == redundancy
+        table = []
+        for n in range(2, 41, 3):
+            expected = expected_spurious_keys(h_k, used, n)
+            table.append({
+                "N": n,
+                "expected_spurious_log2": expected.log2_exact,
+                "expected_spurious_approx_log2": expected.log2_approx,
+                "expected_spurious_linear": expected.linear,
+            })
+        assert res["table"] == table
+        below = [row["N"] for row in table if row["expected_spurious_log2"] < 0]
+        assert res["first_length_below_one"] == (below[0] if below else None)
+        if used:
+            assert res["unicity_distance_letters"] == unicity_distance(h_k, used)
+        else:
+            assert res["unicity_distance_letters"] == "unbounded"
 
     def test_measured_from_corpus(self, capsys):
         code, out, _ = run_cli(
@@ -296,13 +343,68 @@ class TestChannel:
             assert abs(float(row["I_empA"]) - float(row["I_empB"])) <= 1e-9
             assert row["reliable"] in ("true", "false")
 
-    def test_json_gap_field(self, capsys):
+    def test_json_rows_match_channel_functions(self, capsys):
+        """Each JSON row holds the channel functions' values on the toy
+        language the command builds for its length, clamped or not,
+        reliable or not."""
         code, out, _ = run_cli(
-            capsys, "channel", "--lengths", "3", "--seed", "5", "--format", "json"
+            capsys, "channel", "--lengths", "1,3,5", "--seed", "5", "--format", "json"
         )
-        doc = json.loads(out)
-        row = doc["results"]["rows"][0]
-        assert "empirical_vs_theoretical_gap" in row
+        assert code == 0
+        ab = Alphabet.first_n(4)
+        space = KeySpace(SUBSTITUTION, ab)
+        h_k, r0 = space.key_entropy_bits, 2.0
+        rows = json.loads(out)["results"]["rows"]
+        assert [row["N"] for row in rows] == [1, 3, 5]
+        for row in rows:
+            n = row["N"]
+            toy = build_toy_language(ab, n, 1.0, _derived_seed(5, n))
+            i_a, i_b = mutual_information(toy, space)
+            theo = theoretical_mutual_information(n, r0, h_k)
+            rel = reliability_check(n, toy.rate, r0, h_k)
+            assert row == {
+                "N": n,
+                "R0_bits_per_letter": r0,
+                "R_bits_per_letter": toy.rate,
+                "H_K_bits": h_k,
+                "I_theoretical": theo.bits,
+                "clamped": theo.clamped,
+                "I_empA": i_a,
+                "I_empB": i_b,
+                "reliable": rel.reliable,
+                "N_min": rel.min_length,
+                "empirical_vs_theoretical_gap": i_a - theo.bits,
+            }
+            assert row["N_min"] == unicity_distance(h_k, r0 - toy.rate)
+        assert [row["clamped"] for row in rows] == [True, False, False]
+        assert [row["reliable"] for row in rows] == [False, False, True]
+        three = rows[1]  # N=3 < N_min = log2(24) / (2 - 1) = 4.585
+        assert three["R_bits_per_letter"] == 1.0
+        assert abs(three["H_K_bits"] - math.log2(24)) < 1e-12
+        assert abs(three["I_theoretical"] - (6 - math.log2(24))) < 1e-12
+        assert abs(three["I_empA"] - three["I_empB"]) <= 1e-9
+        assert abs(three["N_min"] - math.log2(24)) < 1e-12
+
+    def test_full_rate_is_the_absolute_rate(self, capsys):
+        """log2(3**5) / 5 rounds above log2(3); a language of every
+        message still has rate R0 and redundancy 0."""
+        code, out, err = run_cli(
+            capsys, "channel", "--alphabet-size", "3", "--lengths", "5",
+            "--rate", "1.58496", "--seed", "1", "--format", "json",
+        )
+        assert code == 0, err
+        (row,) = json.loads(out)["results"]["rows"]
+        assert row["R_bits_per_letter"] == row["R0_bits_per_letter"] == math.log2(3)
+        assert row["N_min"] == "unbounded" and row["reliable"] is False
+        code, out, err = run_cli(
+            capsys, "spurious", "--alphabet-size", "3", "--length", "5",
+            "--rate", "1.58496", "--seed", "1", "--format", "json",
+        )
+        assert code == 0, err
+        (row,) = json.loads(out)["results"]["rows"]
+        assert row["D_bits_per_letter"] == 0.0
+        assert row["observed_mean"] == 5.0  # every wrong key of S_3
+        assert abs(row["expected_spurious_linear"] - 5.0) < 1e-14
 
     def test_infeasible_rate_exit_1(self, capsys):
         code, _, err = run_cli(

@@ -17,12 +17,12 @@ from unicity import (
     SUBSTITUTION,
     Alphabet,
     KeySpace,
+    ToyLanguage,
     build_toy_language,
     exhaustive_spurious_counts,
     expected_spurious_keys,
     monte_carlo_spurious,
     unicity_distance,
-    unicity_report,
 )
 
 
@@ -89,11 +89,12 @@ class TestExpectedSpurious:
             if exp.linear is not None:
                 approx_lin = 2.0**exp.log2_approx
                 assert exp.linear <= approx_lin + 1e-12
-                # 2**x amplifies log-domain rounding by ~value*|x|*eps, and
-                # the identity is a difference of two near-equal values
-                tol = 1e-9 * max(1.0, exp.gap) + approx_lin * (abs(exp.log2_approx) + 2) * 1e-14
-                assert abs((approx_lin - exp.linear) - exp.gap) < tol
-            assert exp.gap <= 2.0 ** (-n * d) + 1e-15
+                # dropping the -1 adds exactly 2**(-N*D); 2**x amplifies
+                # log-domain rounding by ~value*|x|*eps, and the identity is
+                # a difference of two near-equal values
+                gap = 2.0 ** (-n * d)
+                tol = 1e-9 * max(1.0, gap) + approx_lin * (abs(exp.log2_approx) + 2) * 1e-14
+                assert abs((approx_lin - exp.linear) - gap) < tol
 
     def test_large_entropy_stays_in_log_domain(self):
         exp = expected_spurious_keys(400.0, 3.2, 10)
@@ -137,6 +138,18 @@ class TestToyLanguage:
             toy = build_toy_language(Alphabet.first_n(g), n, r, seed=int(rng.integers(1 << 30)))
             assert abs(toy.rate - math.log2(toy.size) / n) < 1e-12
             assert toy.size <= g**n
+
+    def test_full_language_rate_is_absolute_rate(self):
+        """A language of all G**N codes has rate exactly log2(G), though
+        log2(G**N) / N rounds above it at G=3, N=5 and below it at G=11,
+        N=3."""
+        for g in range(2, 27):
+            ab = Alphabet.first_n(g)
+            n = 1
+            while g**n <= 1 << 20:
+                toy = ToyLanguage(alphabet=ab, length=n, codes=np.arange(g**n))
+                assert toy.rate == math.log2(g), (g, n)
+                n += 1
 
     def test_deterministic_by_seed(self):
         ab = Alphabet.first_n(5)
@@ -279,18 +292,3 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_spurious(space, toy, 4, trials=2, seed=0)  # not its length
 
-
-class TestUnicityReport:
-    def test_table_and_crossing(self):
-        h = sum(math.log2(k) for k in range(2, 27))
-        report = unicity_report(h, 3.2, list(range(0, 51)))
-        assert abs(report.unicity_letters - 27.6193) < 1e-3
-        assert report.first_length_below_one == 28
-        assert len(report.table) == 51
-        logs = [row.log2_exact for row in report.table]
-        assert all(a > b for a, b in zip(logs, logs[1:]))
-
-    def test_unbounded(self):
-        report = unicity_report(10.0, 0.0, [1, 2, 3])
-        assert report.unicity_letters == math.inf
-        assert report.first_length_below_one is None
