@@ -10,6 +10,7 @@ from unicity import (
     SUBSTITUTION,
     Alphabet,
     KeySpace,
+    absolute_rate,
     build_toy_language,
     mutual_information,
     reliability_check,
@@ -142,7 +143,6 @@ class TestEmpiricalMI:
                 for i in mutual_information(toy, KeySpace(kind, ab)):
                     assert -1e-9 <= i <= math.log2(toy.size) + 1e-9
 
-
     def test_large_alphabet_stays_in_log_domain(self):
         """At G = 26 a message's stabilizer has at least 22! elements,
         past int64; both decompositions still agree."""
@@ -151,3 +151,35 @@ class TestEmpiricalMI:
         i_a, i_b = mutual_information(toy, KeySpace(SUBSTITUTION, ab))
         assert abs(i_a - i_b) <= 1e-9
         assert 0.0 <= i_a <= math.log2(toy.size)
+
+
+class TestChannelReport:
+    """The quantities the `channel` command reports for one toy language,
+    computed from the channel functions it composes."""
+
+    def test_fields_roundtrip(self):
+        ab = Alphabet.first_n(4)
+        toy = build_toy_language(ab, 3, 1.0, seed=5)
+        space = KeySpace(SUBSTITUTION, ab)
+        r0 = absolute_rate(ab)
+        h_k = space.key_entropy_bits
+        theo = theoretical_mutual_information(toy.length, r0, h_k)
+        i_a, i_b = mutual_information(toy, space)
+        rel = reliability_check(toy.length, toy.rate, r0, h_k)
+        assert toy.length == 3
+        assert abs(r0 - 2.0) < 1e-12
+        assert abs(toy.rate - 1.0) < 1e-12
+        assert abs(h_k - math.log2(24)) < 1e-12
+        assert abs(theo.bits - (6 - math.log2(24))) < 1e-12
+        assert not theo.clamped
+        assert abs(i_a - i_b) <= 1e-9
+        assert not rel.reliable  # N=3 < N_min = log2(24)/(2-1) = 4.585
+        assert abs(rel.min_length - math.log2(24)) < 1e-12
+
+    def test_min_length_equals_unicity_distance(self):
+        ab = Alphabet.first_n(4)
+        toy = build_toy_language(ab, 3, 1.0, seed=6)
+        h_k = KeySpace(SUBSTITUTION, ab).key_entropy_bits
+        r0 = absolute_rate(ab)
+        rel = reliability_check(toy.length, toy.rate, r0, h_k)
+        assert rel.min_length == unicity_distance(h_k, r0 - toy.rate)

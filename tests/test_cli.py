@@ -343,6 +343,14 @@ class TestChannel:
             assert abs(float(row["I_empA"]) - float(row["I_empB"])) <= 1e-9
             assert row["reliable"] in ("true", "false")
 
+    def test_json_gap_field(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "channel", "--lengths", "3", "--seed", "5", "--format", "json"
+        )
+        assert code == 0
+        row = json.loads(out)["results"]["rows"][0]
+        assert row["empirical_vs_theoretical_gap"] == row["I_empA"] - row["I_theoretical"]
+
     def test_json_rows_match_channel_functions(self, capsys):
         """Each JSON row holds the channel functions' values on the toy
         language the command builds for its length, clamped or not,

@@ -292,3 +292,22 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_spurious(space, toy, 4, trials=2, seed=0)  # not its length
 
+
+class TestUnicityReport:
+    """The table and crossing the `unicity` command reports, computed from
+    expected_spurious_keys and unicity_distance."""
+
+    def test_table_and_crossing(self):
+        h = sum(math.log2(k) for k in range(2, 27))
+        table = [expected_spurious_keys(h, 3.2, n) for n in range(0, 51)]
+        assert abs(unicity_distance(h, 3.2) - 27.6193) < 1e-3
+        below = [n for n, row in enumerate(table) if row.log2_exact < 0]
+        assert below[0] == 28
+        assert len(table) == 51
+        logs = [row.log2_exact for row in table]
+        assert all(a > b for a, b in zip(logs, logs[1:]))
+
+    def test_unbounded(self):
+        assert unicity_distance(10.0, 0.0) == math.inf
+        table = [expected_spurious_keys(10.0, 0.0, n) for n in (1, 2, 3)]
+        assert all(row.log2_exact >= 0 for row in table)
