@@ -16,8 +16,9 @@ in UNICITY_CORPUS_DIR.
 
 Exit codes: 0 success, 1 experiment-level failure (infeasible
 parameters, a held-out corpus too short for the requested lengths, a
-run too large to allocate), 2 usage or I/O error, including a parameter
-of the wrong type or out of range and an input file that is not UTF-8.
+run too large to allocate, a count past the float range), 2 usage or
+I/O error, including a parameter of the wrong type or out of range and
+an input file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ from .spurious import (
 )
 
 CORPUS_DIR_ENV = "UNICITY_CORPUS_DIR"
+
+# `spurious --mode monte-carlo` scores its constructions in blocks: as many
+# whole constructions as fit in these many key rows and language codes,
+# and at least one. Reports do not depend on the block size.
+_MC_BLOCK_ROWS = 4096
+_MC_BLOCK_CODES = 1 << 17
 
 # Every parameter: (type, accepted values, test, help). Values are checked
 # once flags and --config are merged: an integer parameter takes integers
@@ -359,18 +366,32 @@ def cmd_spurious(cfg: dict) -> str:
     r0 = absolute_rate(alphabet)
     seed = cfg["seed"]
     constructions = cfg["constructions"]
+    trials, keys_per_trial = cfg["trials"], cfg["keys_per_trial"]
+
+    def build(n, s):
+        return build_toy_language(alphabet, n, float(cfg["rate"]), _derived_seed(seed, n, s))
+
     rows = []
     for n in _parse_lengths(cfg["length"]):
         per_seed = np.empty(constructions, dtype=np.float64)
-        for s in range(constructions):
-            toy = build_toy_language(alphabet, n, float(cfg["rate"]), _derived_seed(seed, n, s))
-            if cfg["mode"] == "exhaustive":
+        if cfg["mode"] == "exhaustive":
+            for s in range(constructions):
+                toy = build(n, s)
                 per_seed[s] = exhaustive_spurious_counts(space, toy).mean()
-            else:
-                per_seed[s] = monte_carlo_spurious(
-                    space, toy, n, cfg["trials"], seed=_derived_seed(seed, n, s, 1),
-                    keys_per_trial=cfg["keys_per_trial"],
-                ).mean
+        else:
+            s = 0
+            while s < constructions:
+                toy = build(n, s)  # every language of this length has its size
+                block = min(_MC_BLOCK_ROWS // (trials * keys_per_trial),
+                            _MC_BLOCK_CODES // toy.size)
+                stop = min(constructions, s + max(1, block))
+                estimates = monte_carlo_spurious(
+                    space, [toy] + [build(n, u) for u in range(s + 1, stop)], n, trials,
+                    [_derived_seed(seed, n, u, 1) for u in range(s, stop)],
+                    keys_per_trial=keys_per_trial,
+                )
+                per_seed[s:stop] = [estimate.mean for estimate in estimates]
+                s = stop
         d = r0 - toy.rate
         expected = expected_spurious_keys(h_k, d, n)
         se = per_seed.std(ddof=1) / math.sqrt(constructions) if constructions > 1 else math.nan
@@ -382,7 +403,7 @@ def cmd_spurious(cfg: dict) -> str:
             "expected_spurious_linear": expected.linear,
             "observed_mean": float(per_seed.mean()),
             "observed_se": float(se),
-            "trials": constructions * (cfg["trials"] if cfg["mode"] == "monte-carlo" else 1),
+            "trials": constructions * (trials if cfg["mode"] == "monte-carlo" else 1),
             "seed": seed,
         })
     columns = ["N", "H_K_bits", "D_bits_per_letter", "expected_spurious_log2",
@@ -559,6 +580,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:  # a run too large to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # a count past the float range, such as G! at G >= 171
+        print(f"error: value too large for a float: {exc}", file=sys.stderr)
         return 1
     return 0
 

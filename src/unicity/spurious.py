@@ -12,9 +12,11 @@ the message itself, so it is always spurious.
 Exact counts for a toy language come from the orbits of the key group
 (`KeySpace.orbit_classes`), without enumerating keys, at every G up to
 26. A seeded Monte Carlo estimate, which samples wrong keys, is kept
-beside them as an independent check. The CLI's `unicity` command
-tabulates the estimate and the bound over a range of lengths, and its
-`spurious` command sets the estimate beside the counts.
+beside them as an independent check. It takes a block of constructions
+at once: its trials only draw, one pass scores every sampled key of the
+block, and only the sampled messages are decoded. The CLI's `unicity`
+command tabulates the estimate and the bound over a range of lengths,
+and its `spurious` command sets the estimate beside the counts.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .cipher import KeySpace
-from .lang import Alphabet, absolute_rate, decode_codes, encode_rows
+from .lang import Alphabet, absolute_rate, decode_codes
 
 _MAX_CODE_BITS = 62
 
@@ -119,9 +121,6 @@ class ToyLanguage:
         pos = np.clip(pos, 0, self.codes.size - 1)
         return self.codes[pos] == codes
 
-    def sample_message(self, rng: np.random.Generator) -> np.ndarray:
-        return self.messages[int(rng.integers(self.size))]
-
 
 def build_toy_language(
     alphabet: Alphabet, length: int, rate_target: float, seed: int
@@ -187,48 +186,78 @@ class MonteCarloEstimate:
 
 def monte_carlo_spurious(
     space: KeySpace,
-    language: ToyLanguage,
+    languages: list[ToyLanguage],
     length: int,
     trials: int,
-    seed: int,
+    seeds: list[int],
     keys_per_trial: int = 100,
-) -> MonteCarloEstimate:
-    """Sampling stand-in for exhaustive counting.
+) -> list[MonteCarloEstimate]:
+    """Sampling stand-in for exhaustive counting: one estimate for each
+    construction (language and seed) of a block.
 
-    Each trial draws a member message of the language and a true key,
-    then its keys_per_trial candidate keys as one block. Rows equal to
-    the true key are dropped and as many keys drawn again, until none is
-    left: the trial keeps the first keys_per_trial wrong keys in draw
-    order, as one draw at a time with redraws would. The fraction of them
-    that decrypt the ciphertext to a member is scaled up to the
-    key_count - 1 wrong keys; a trial's wrong keys are inverted, applied
-    and looked up as one array. Per-trial generators derive from
-    (seed, trial), so the result does not depend on evaluation order.
+    Trial t of a construction draws from default_rng((seed, t)) the index
+    of a member message, a true key and its keys_per_trial candidate
+    keys. The keys go into one key block for the whole call, of the
+    smallest unsigned dtype that holds G - 1. A trial whose rows hold its
+    true key drops them and draws as many keys again from its own
+    generator until none is left, so it keeps the first keys_per_trial
+    wrong keys in draw order, as one draw at a time with redraws would.
+    One pass then scores the block: only the sampled messages are
+    decoded, each wrong key decrypts its trial's ciphertext by finding
+    each ciphertext letter in the key row, and the decryptions are looked
+    up in their own language. The fraction of a trial's wrong keys that
+    decrypt to a member is scaled up to the key_count - 1 wrong keys. A
+    construction's estimate depends only on its language and seed, not on
+    the other constructions of the block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if keys_per_trial < 1:
         raise ValueError("keys_per_trial must be >= 1")
-    if language.length != length:
-        raise ValueError(f"language messages have length {language.length}, expected {length}")
-    g = language.alphabet.size
+    if len(seeds) != len(languages):
+        raise ValueError(f"{len(languages)} languages but {len(seeds)} seeds")
+    for language in languages:
+        if language.length != length:
+            raise ValueError(
+                f"language messages have length {language.length}, expected {length}")
+    g = space.alphabet.size
     wrong_total = space.key_count - 1
     if wrong_total == 0:  # a one-key space has no wrong key to sample
-        return MonteCarloEstimate(mean=0.0, se=0.0 if trials > 1 else math.nan)
-    estimates = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        plain = language.sample_message(rng)
-        true_key = space.sample(rng).mapping
-        ciphertext = true_key[plain]
-        wrong = np.empty((0, g), dtype=np.int64)
+        return [MonteCarloEstimate(mean=0.0, se=0.0 if trials > 1 else math.nan)] * len(seeds)
+    runs = len(languages) * trials
+    dtype = np.min_scalar_type(g - 1)
+    # row 0 of each trial is its true key, drawn right before its candidates
+    block = np.empty((runs, 1 + keys_per_trial, g), dtype=dtype)
+    plain_codes = np.empty(runs, dtype=np.int64)
+    rngs = []
+    for language, seed in zip(languages, seeds):
+        for t in range(trials):
+            rng = np.random.default_rng((seed, t))
+            plain_codes[len(rngs)] = language.codes[rng.integers(language.size)]
+            space.sample_mappings(rng, 1 + keys_per_trial, block[len(rngs)])
+            rngs.append(rng)
+    true_keys, keys = block[:, 0], block[:, 1:]
+    rows = block.view(np.dtype((np.void, block.strides[1])))[..., 0]  # each key row as one value
+    is_true = rows[:, 1:] == rows[:, :1]
+    for r in np.flatnonzero(is_true.any(axis=1)):
+        wrong = keys[r][~is_true[r]]
         while short := keys_per_trial - len(wrong):
-            drawn = space.sample_mappings(rng, short)
-            wrong = np.concatenate([wrong, drawn[(drawn != true_key).any(axis=1)]])
-        decrypted = np.argsort(wrong, axis=1)[:, ciphertext]  # inverse keys applied
-        accepted = np.count_nonzero(language.contains_codes(encode_rows(decrypted, g)))
-        estimates[t] = wrong_total * (accepted / keys_per_trial)
-    mean = float(estimates.mean())
-    se = float(estimates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
-    return MonteCarloEstimate(mean=mean, se=se)
-
+            drawn = space.sample_mappings(rngs[r], short)
+            wrong = np.concatenate([wrong, drawn[(drawn != true_keys[r]).any(axis=1)]])
+        keys[r] = wrong
+    ciphertext = np.take_along_axis(true_keys, decode_codes(plain_codes, g, length), axis=1)
+    letters = np.arange(g, dtype=dtype)
+    codes = np.zeros((runs, keys_per_trial), dtype=np.int64)
+    for j in range(length):
+        # plaintext letter j of a decryption: where its key row holds ciphertext letter j
+        codes = codes * g + (keys == ciphertext[:, j, None, None]) @ letters
+    codes = codes.reshape(len(languages), trials * keys_per_trial)
+    member = np.stack([language.contains_codes(c) for language, c in zip(languages, codes)])
+    accepted = np.count_nonzero(member.reshape(len(languages), trials, keys_per_trial), axis=2)
+    estimates = wrong_total * (accepted / keys_per_trial)
+    means = estimates.mean(axis=1)
+    if trials > 1:
+        ses = estimates.std(axis=1, ddof=1) / math.sqrt(trials)
+    else:
+        ses = np.full(len(languages), math.nan)
+    return [MonteCarloEstimate(mean=float(m), se=float(s)) for m, s in zip(means, ses)]

@@ -100,7 +100,7 @@ def monte_carlo_estimates(space, language, trials, seed, keys_per_trial):
     estimates = []
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        plain = language.sample_message(rng)
+        plain = language.messages[int(rng.integers(language.size))]
         true_key = draw(rng)
         cipher = [true_key[s] for s in plain]
         accepted = wrong = 0

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,8 +17,10 @@ from unicity import (
     theoretical_mutual_information,
     unicity_distance,
 )
+import unicity.cli
 from unicity.cli import _derived_seed, main
 
+from brute_force import monte_carlo_estimates
 from conftest import CORPUS_PATH
 
 
@@ -279,6 +282,98 @@ class TestSpurious:
         (exact,) = json.loads(out)["results"]["rows"]
         assert mc["observed_se"] > 0
         assert abs(mc["observed_mean"] - exact["observed_mean"]) <= 4 * mc["observed_se"]
+
+    @pytest.mark.parametrize("kind", ["substitution", "shift"])
+    @pytest.mark.parametrize("g, lengths, rate, trials, keys_per_trial", [
+        (2, "4,3", 0.5, 9, 1),  # most candidates are the true key and are redrawn
+        (3, "3,2", 1.0, 1, 7),
+        (3, "3", 1.2, 9, 7),
+        (26, "13", 0.4, 9, 1),  # message codes near 2**61
+        (26, "13", 0.4, 1, 7),
+    ])
+    def test_monte_carlo_matches_per_candidate_oracle(self, capsys, kind, g, lengths, rate,
+                                                      trials, keys_per_trial):
+        """Each row equals the per-candidate oracle run on the languages and
+        Monte Carlo seeds the CLI derives for each construction."""
+        seed, constructions = 12, 4
+        code, out, _ = run_cli(
+            capsys, "spurious", "--mode", "monte-carlo", "--cipher", kind,
+            "--alphabet-size", str(g), "--length", lengths, "--rate", str(rate),
+            "--constructions", str(constructions), "--trials", str(trials),
+            "--keys-per-trial", str(keys_per_trial), "--seed", str(seed), "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        space = KeySpace(kind, Alphabet.first_n(g))
+        assert [row["N"] for row in rows] == [int(n) for n in lengths.split(",")]
+        for row in rows:
+            n = row["N"]
+            per_seed = np.array([
+                np.array(monte_carlo_estimates(
+                    space, build_toy_language(space.alphabet, n, rate, _derived_seed(seed, n, s)),
+                    trials, _derived_seed(seed, n, s, 1), keys_per_trial,
+                )).mean()
+                for s in range(constructions)
+            ])
+            assert row["observed_mean"] == float(per_seed.mean())
+            assert row["observed_se"] == float(per_seed.std(ddof=1) / math.sqrt(constructions))
+
+    @pytest.mark.parametrize("argv", [
+        ["--alphabet-size", "5", "--length", "2,3", "--rate", "1.2", "--constructions", "40",
+         "--trials", "7", "--keys-per-trial", "30", "--seed", "11"],
+        ["--cipher", "shift", "--alphabet-size", "5", "--length", "2,3", "--rate", "1.2",
+         "--constructions", "40", "--trials", "7", "--keys-per-trial", "30", "--seed", "11"],
+        ["--alphabet-size", "3", "--length", "3", "--constructions", "9", "--trials", "9",
+         "--keys-per-trial", "7", "--seed", "4"],
+        # 37,641 messages a language: the code budget closes a block at three
+        ["--alphabet-size", "4", "--length", "8", "--rate", "1.9", "--constructions", "5",
+         "--trials", "2", "--keys-per-trial", "3", "--seed", "2"],
+    ])
+    def test_monte_carlo_report_does_not_depend_on_block_size(self, capsys, monkeypatch, argv):
+        """Blocks of one construction, of the default size and of every
+        construction give the same report bytes."""
+        reports = []
+        for rows, codes in [(1, 1), (unicity.cli._MC_BLOCK_ROWS, unicity.cli._MC_BLOCK_CODES),
+                            (100, 2**40), (2**62, 2**62)]:
+            monkeypatch.setattr(unicity.cli, "_MC_BLOCK_ROWS", rows)
+            monkeypatch.setattr(unicity.cli, "_MC_BLOCK_CODES", codes)
+            code, out, _ = run_cli(capsys, "spurious", "--mode", "monte-carlo", *argv)
+            assert code == 0
+            reports.append(out)
+        assert reports[1:] == reports[:-1]
+
+    def test_monte_carlo_decodes_only_sampled_messages(self, capsys):
+        """At 2**19 messages of length 10, the traced peak stays below the
+        8 * M * N bytes of the decoded message table."""
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "spurious", "--mode", "monte-carlo", "--alphabet-size", "4",
+                "--length", "10", "--rate", "1.9", "--constructions", "3", "--trials", "5",
+                "--keys-per-trial", "100", "--seed", "1", "--format", "json",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**19 * 10 * 8
+
+    @pytest.mark.parametrize("argv", [
+        ["spurious", "--mode", "monte-carlo", "--length", "1", "--trials", "2",
+         "--keys-per-trial", "2"],
+        ["spurious", "--mode", "exhaustive", "--length", "1"],
+        ["channel", "--lengths", "1,2"],
+    ])
+    def test_counts_past_float_range_exit_1(self, capsys, argv):
+        """At 172 symbols G! - 1 and the stabilizer sizes pass the float
+        range: the run fails with one error line, not a traceback."""
+        symbols = "".join(chr(0x100 + i) for i in range(172))
+        code, out, err = run_cli(capsys, *argv, "--alphabet-symbols", symbols, "--rate", "1",
+                                 "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_exhaustive_exact_past_int64(self, capsys):
         """26! keys, counts above 2**63: the mean equals the orbit closed

@@ -43,6 +43,15 @@ ARGVS = {
     "spurious-monte-carlo-g2": ["spurious", "--mode", "monte-carlo", "--alphabet-size", "2",
                                 "--length", "4", "--rate", "0.5", "--constructions", "3",
                                 "--trials", "6", "--keys-per-trial", "1", "--seed", "3"],
+    # 40 constructions of 210 key rows at each length: several blocks
+    "spurious-monte-carlo-blocks": ["spurious", "--mode", "monte-carlo", "--alphabet-size", "5",
+                                    "--length", "2,3", "--rate", "1.2", "--constructions", "40",
+                                    "--trials", "7", "--keys-per-trial", "30", "--seed", "11"],
+    "spurious-monte-carlo-blocks-shift": ["spurious", "--mode", "monte-carlo", "--alphabet-size",
+                                          "5", "--length", "2,3", "--rate", "1.2",
+                                          "--constructions", "40", "--trials", "7",
+                                          "--keys-per-trial", "30", "--seed", "11",
+                                          "--cipher", "shift"],
     "channel": ["channel", "--alphabet-size", "4", "--lengths", "1,2,3", "--seed", "1"],
     "attack-crack": ["attack", "--mode", "crack", "--corpus", CORPUS, "--ciphertext",
                      CIPHERTEXT, "--true-key", TRUE_KEY, "--iterations", "300",
@@ -64,6 +73,10 @@ DIGESTS = {
     ("spurious-exhaustive", "json"): "fd18c153fa6eb0f311febf487df22f715352140fe8dcdcdf7c1b6a7f473d9d09",
     ("spurious-monte-carlo", "csv"): "72b395704335a339a726bbe2254ed7db25edb6b6a2ac5d0688a055a6eb8a9ed1",
     ("spurious-monte-carlo", "json"): "30ed878fde7a74ea8d72f23c26ff6510af767549af977a1eca60468c2b51bcd5",
+    ("spurious-monte-carlo-blocks", "csv"): "c73882008a023f6dc1db5514ab37255d4bddcaec04f6e00346255140d089b5d3",
+    ("spurious-monte-carlo-blocks", "json"): "bd413d9fe4cff2cdd56be74ec7e25f868eade9bc4d3728ae82a2fa2531fcd72d",
+    ("spurious-monte-carlo-blocks-shift", "csv"): "92c7e757b2239777028c23351d235a5cc309f42d46b96e716021f89da91f14af",
+    ("spurious-monte-carlo-blocks-shift", "json"): "0c7db1b02709e87f10b2bd18c38fa144d8456a9bfc9e1c2e282cdafb6b365b45",
     ("spurious-monte-carlo-g2", "csv"): "1ff4aa277bcafb6438df6e2f0aa04168248f9f8e003137f7c37b478a51769a8c",
     ("spurious-monte-carlo-g2", "json"): "a43be0411b9f7ce1eb1c1357296d66b03dcecc8b0c508dec30ea231172c547c9",
     ("spurious-monte-carlo-shift", "csv"): "1f26efc3599924ea4e95184523a38e25cb9150872d8a953d870478dba79817ef",

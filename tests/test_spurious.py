@@ -17,6 +17,7 @@ from unicity import (
     SUBSTITUTION,
     Alphabet,
     KeySpace,
+    MonteCarloEstimate,
     ToyLanguage,
     build_toy_language,
     exhaustive_spurious_counts,
@@ -236,7 +237,7 @@ class TestMonteCarlo:
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=21)
         exact = exhaustive_spurious_counts(space, toy).mean()
-        est = monte_carlo_spurious(space, toy, 3, trials=400, seed=5)
+        (est,) = monte_carlo_spurious(space, [toy], 3, 400, [5])
         assert est.se > 0
         assert abs(est.mean - exact) <= 3 * est.se
 
@@ -247,50 +248,78 @@ class TestMonteCarlo:
         ab = Alphabet.first_n(g)
         space = KeySpace(kind, ab)
         toy = build_toy_language(ab, n, rate, seed=g)
-        est = monte_carlo_spurious(space, toy, n, trials=6, seed=3, keys_per_trial=keys_per_trial)
+        (est,) = monte_carlo_spurious(space, [toy], n, 6, [3], keys_per_trial=keys_per_trial)
         reference = np.array(monte_carlo_estimates(space, toy, 6, 3, keys_per_trial))
         assert est.mean == reference.mean()
         assert est.se == reference.std(ddof=1) / math.sqrt(6)
 
+    @pytest.mark.parametrize("kind", [SUBSTITUTION, SHIFT])
+    @pytest.mark.parametrize("trials", [1, 2, 9, 37])
+    def test_block_gives_each_construction_its_own_estimate(self, kind, trials):
+        """A block of constructions, some sharing a language or a seed,
+        gives each the estimate it gets alone, whatever its place."""
+        ab = Alphabet.first_n(3)
+        space = KeySpace(kind, ab)
+        toys = [build_toy_language(ab, 3, 1.2, seed=s) for s in (0, 1, 1, 2)]
+        seeds = [7, 7, 8, 9]
+        block = monte_carlo_spurious(space, toys, 3, trials, seeds, keys_per_trial=5)
+        alone = [monte_carlo_spurious(space, [toy], 3, trials, [seed], keys_per_trial=5)[0]
+                 for toy, seed in zip(toys, seeds)]
+        assert len(block) == 4
+        for got, want in zip(block, alone):
+            assert got.mean == want.mean
+            assert got.se == want.se or math.isnan(got.se) and math.isnan(want.se)
+        reverse = monte_carlo_spurious(space, toys[::-1], 3, trials, seeds[::-1], keys_per_trial=5)
+        assert [e.mean for e in reverse] == [e.mean for e in block[::-1]]
+
     def test_one_key_space_has_no_spurious_keys(self, monkeypatch):
         """With a single key there is no wrong key to draw: the estimate
-        is 0 and no key is sampled."""
+        is 0, no generator is made and no key is sampled."""
         one = Alphabet.first_n(1)
         toy = build_toy_language(one, 3, 0.0, seed=0)  # the one message AAA
 
-        def no_draw(space, rng, n=1):
+        def no_draw(*args, **kwargs):
             raise AssertionError("no key should be drawn")
 
         monkeypatch.setattr(KeySpace, "sample", no_draw)
         monkeypatch.setattr(KeySpace, "sample_mappings", no_draw)
-        est = monte_carlo_spurious(KeySpace(SUBSTITUTION, one), toy, 3, trials=4, seed=0)
-        assert (est.mean, est.se) == (0.0, 0.0)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        space = KeySpace(SUBSTITUTION, one)
+        assert monte_carlo_spurious(space, [toy, toy], 3, 4, [0, 1]) == [
+            MonteCarloEstimate(mean=0.0, se=0.0)] * 2
+        (single,) = monte_carlo_spurious(space, [toy], 3, 1, [0])
+        assert single.mean == 0.0 and math.isnan(single.se)
 
     def test_single_trial_se_undefined(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=22)
-        est = monte_carlo_spurious(space, toy, 3, trials=1, seed=0)
+        (est,) = monte_carlo_spurious(space, [toy], 3, 1, [0])
         assert math.isnan(est.se)
 
     def test_deterministic(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=23)
-        a = monte_carlo_spurious(space, toy, 3, trials=37, seed=77)
-        b = monte_carlo_spurious(space, toy, 3, trials=37, seed=77)
+        a = monte_carlo_spurious(space, [toy], 3, 37, [77])
+        b = monte_carlo_spurious(space, [toy], 3, 37, [77])
         assert a == b
 
     def test_trials_validation(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=1)
+        longer = build_toy_language(ab, 4, 1.0, seed=1)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, toy, 3, trials=0, seed=0)
+            monte_carlo_spurious(space, [toy], 3, 0, [0])
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, toy, 3, trials=2, seed=0, keys_per_trial=0)
+            monte_carlo_spurious(space, [toy], 3, 2, [0], keys_per_trial=0)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, toy, 4, trials=2, seed=0)  # not its length
+            monte_carlo_spurious(space, [toy], 4, 2, [0])  # not its length
+        with pytest.raises(ValueError):
+            monte_carlo_spurious(space, [toy, longer], 3, 2, [0, 1])  # one of two lengths
+        with pytest.raises(ValueError):
+            monte_carlo_spurious(space, [toy, toy], 3, 2, [0])  # a seed short
 
 
 class TestUnicityReport:
