@@ -21,7 +21,6 @@ from .cipher import (
     encrypt,
 )
 from .spurious import (
-    MonteCarloEstimate,
     SpuriousExpectation,
     ToyLanguage,
     build_toy_language,
@@ -51,7 +50,6 @@ __all__ = [
     "AttackResult",
     "EmptyTextError",
     "KeySpace",
-    "MonteCarloEstimate",
     "NGramModel",
     "RecoveryCurveResult",
     "RedundancyEstimate",

@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cipher import KeySpace, SubstitutionKey, encrypt
 from .lang import NGramModel, decode_codes, encode_rows, redundancy
-from .spurious import unicity_distance
+from .spurious import mean_and_se, unicity_distance
 
 # proposals drawn per chain and stream in one refill
 _BLOCK = 200
@@ -466,17 +466,6 @@ def mcmc_crack(
 
 
 @dataclass(frozen=True)
-class AttackTrialRow:
-    length: int
-    trial: int
-    key_accuracy: float
-    plaintext_accuracy: float
-    best_score_bits: float
-    iterations: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class LengthSummary:
     length: int
     trials: int
@@ -490,7 +479,7 @@ class LengthSummary:
 
 @dataclass(frozen=True)
 class RecoveryCurveResult:
-    rows: tuple[AttackTrialRow, ...]
+    cracks: tuple[tuple[AttackResult, ...], ...]  # per length, in trial order
     summaries: tuple[LengthSummary, ...]
     unicity_letters: float
 
@@ -528,41 +517,32 @@ def recovery_curve(
     if min(lengths) < config.model.order:
         raise ValueError("length below the scoring model order")
 
-    cells = [(n, t) for n in lengths for t in range(trials_per_length)]
     jobs = [
         _trial_job(corpus, space, config.seed, n, i)
-        for i, (n, _) in enumerate(cells)
+        for i, n in enumerate(np.repeat(lengths, trials_per_length).tolist())
     ]
     # batches of whole cracks, at most _BATCH_CHAINS chains each
     per_batch = max(1, _BATCH_CHAINS // (config.restarts + 1))
     results = []
     for i in range(0, len(jobs), per_batch):
         results += _crack_jobs(jobs[i : i + per_batch], config)
-    rows = [
-        AttackTrialRow(
-            length=n,
-            trial=t,
-            key_accuracy=result.key_accuracy,
-            plaintext_accuracy=result.plaintext_accuracy,
-            best_score_bits=result.best_score_bits,
-            iterations=result.iterations,
-            seed=result.seed,
-        )
-        for (n, t), result in zip(cells, results)
-    ]
+    cracks = [tuple(results[i : i + trials_per_length])
+              for i in range(0, len(results), trials_per_length)]
 
     summaries = []
     for n in lengths:
-        accs = np.array([r.plaintext_accuracy for r in rows if r.length == n])
-        keys = np.array([r.key_accuracy for r in rows if r.length == n])
-        se = float(accs.std(ddof=1) / math.sqrt(accs.size)) if accs.size > 1 else math.nan
+        # a length listed twice is summarized over the trials of both
+        pooled = [r for m, group in zip(lengths, cracks) if m == n for r in group]
+        accs = np.array([r.plaintext_accuracy for r in pooled])
+        keys = np.array([r.key_accuracy for r in pooled])
+        mean, se = mean_and_se(accs)
         summaries.append(
             LengthSummary(
                 length=n,
                 trials=int(accs.size),
                 mean_key_accuracy=float(keys.mean()),
-                mean_plaintext_accuracy=float(accs.mean()),
-                se_plaintext_accuracy=se,
+                mean_plaintext_accuracy=float(mean),
+                se_plaintext_accuracy=float(se),
                 median_plaintext_accuracy=float(np.median(accs)),
                 min_plaintext_accuracy=float(accs.min()),
                 max_plaintext_accuracy=float(accs.max()),
@@ -571,7 +551,7 @@ def recovery_curve(
 
     d = redundancy(config.model).redundancy
     return RecoveryCurveResult(
-        rows=tuple(rows),
+        cracks=tuple(cracks),
         summaries=tuple(summaries),
         unicity_letters=unicity_distance(space.key_entropy_bits, d),
     )

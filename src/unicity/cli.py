@@ -44,6 +44,7 @@ from .spurious import (
     build_toy_language,
     exhaustive_spurious_counts,
     expected_spurious_keys,
+    mean_and_se,
     monte_carlo_spurious,
     unicity_distance,
 )
@@ -385,23 +386,22 @@ def cmd_spurious(cfg: dict) -> str:
                 block = min(_MC_BLOCK_ROWS // (trials * keys_per_trial),
                             _MC_BLOCK_CODES // toy.size)
                 stop = min(constructions, s + max(1, block))
-                estimates = monte_carlo_spurious(
-                    space, [toy] + [build(n, u) for u in range(s + 1, stop)], n, trials,
-                    [_derived_seed(seed, n, u, 1) for u in range(s, stop)],
+                per_seed[s:stop], _ = monte_carlo_spurious(
+                    space, [toy] + [build(n, u) for u in range(s + 1, stop)],
+                    [_derived_seed(seed, n, u, 1) for u in range(s, stop)], trials,
                     keys_per_trial=keys_per_trial,
                 )
-                per_seed[s:stop] = [estimate.mean for estimate in estimates]
                 s = stop
         d = r0 - toy.rate
         expected = expected_spurious_keys(h_k, d, n)
-        se = per_seed.std(ddof=1) / math.sqrt(constructions) if constructions > 1 else math.nan
+        mean, se = mean_and_se(per_seed)
         rows.append({
             "N": n,
             "H_K_bits": h_k,
             "D_bits_per_letter": d,
             "expected_spurious_log2": expected.log2_exact,
             "expected_spurious_linear": expected.linear,
-            "observed_mean": float(per_seed.mean()),
+            "observed_mean": float(mean),
             "observed_se": float(se),
             "trials": constructions * (trials if cfg["mode"] == "monte-carlo" else 1),
             "seed": seed,
@@ -492,7 +492,12 @@ def cmd_attack(cfg: dict) -> str:
     curve = recovery_curve(
         lengths, cfg["trials"], config(train), heldout, KeySpace(SUBSTITUTION, alphabet)
     )
-    rows = [_as_row(r, N="length") for r in curve.rows]
+    rows = [
+        {"N": n, "trial": t, "key_accuracy": r.key_accuracy,
+         "plaintext_accuracy": r.plaintext_accuracy, "best_score_bits": r.best_score_bits,
+         "iterations": r.iterations, "seed": r.seed}
+        for n, cracks in zip(lengths, curve.cracks) for t, r in enumerate(cracks)
+    ]
     results = {
         "unicity_distance_letters": curve.unicity_letters,
         "summaries": [_as_row(s, N="length") for s in curve.summaries],

@@ -178,22 +178,35 @@ def exhaustive_spurious_counts(space: KeySpace, language: ToyLanguage) -> np.nda
     return class_size[inverse] * stab - 1
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    mean: float
-    se: float
+def mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error along the last axis of values, the SE nan
+    over one value. numpy computes both; where its sum or sum of squares
+    passes the float range, `statistics` computes that value from exact
+    sums instead."""
+    rows = values.reshape(-1, values.shape[-1])
+    n = rows.shape[1]
+    with np.errstate(over="ignore"):
+        means = rows.mean(axis=1)
+        ses = rows.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.full(len(rows), math.nan)
+    if np.isinf(ses).any():  # an inf mean makes its SE inf too
+        import statistics  # here, not at the top: it loads fractions and decimal
+        for i in np.flatnonzero(np.isinf(means)):
+            means[i] = statistics.mean(rows[i].tolist())
+        for i in np.flatnonzero(np.isinf(ses)):
+            ses[i] = statistics.stdev(rows[i].tolist()) / math.sqrt(n)
+    return means.reshape(values.shape[:-1]), ses.reshape(values.shape[:-1])
 
 
 def monte_carlo_spurious(
     space: KeySpace,
     languages: list[ToyLanguage],
-    length: int,
-    trials: int,
     seeds: list[int],
+    trials: int,
     keys_per_trial: int = 100,
-) -> list[MonteCarloEstimate]:
-    """Sampling stand-in for exhaustive counting: one estimate for each
-    construction (language and seed) of a block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampling stand-in for exhaustive counting: the mean and standard
+    error of the estimates for each construction (language and seed) of
+    a block, as two float64 arrays. The languages share one length.
 
     Trial t of a construction draws from default_rng((seed, t)) the index
     of a member message, a true key and its keys_per_trial candidate
@@ -216,14 +229,15 @@ def monte_carlo_spurious(
         raise ValueError("keys_per_trial must be >= 1")
     if len(seeds) != len(languages):
         raise ValueError(f"{len(languages)} languages but {len(seeds)} seeds")
-    for language in languages:
-        if language.length != length:
-            raise ValueError(
-                f"language messages have length {language.length}, expected {length}")
+    if not languages:
+        raise ValueError("a block needs at least one construction")
+    length = languages[0].length
+    if any(language.length != length for language in languages):
+        raise ValueError("the languages of a block must share one message length")
     g = space.alphabet.size
     wrong_total = space.key_count - 1
     if wrong_total == 0:  # a one-key space has no wrong key to sample
-        return [MonteCarloEstimate(mean=0.0, se=0.0 if trials > 1 else math.nan)] * len(seeds)
+        return mean_and_se(np.zeros((len(seeds), trials)))
     runs = len(languages) * trials
     dtype = np.min_scalar_type(g - 1)
     # row 0 of each trial is its true key, drawn right before its candidates
@@ -254,10 +268,4 @@ def monte_carlo_spurious(
     codes = codes.reshape(len(languages), trials * keys_per_trial)
     member = np.stack([language.contains_codes(c) for language, c in zip(languages, codes)])
     accepted = np.count_nonzero(member.reshape(len(languages), trials, keys_per_trial), axis=2)
-    estimates = wrong_total * (accepted / keys_per_trial)
-    means = estimates.mean(axis=1)
-    if trials > 1:
-        ses = estimates.std(axis=1, ddof=1) / math.sqrt(trials)
-    else:
-        ses = np.full(len(languages), math.nan)
-    return [MonteCarloEstimate(mean=float(m), se=float(s)) for m, s in zip(means, ses)]
+    return mean_and_se(wrong_total * (accepted / keys_per_trial))

@@ -259,31 +259,46 @@ class TestRecoveryCurve:
         _, heldout = english_split
         cfg = AttackConfig(model=bigram_model, iterations=2000, restarts=2, seed=9)
         curve = recovery_curve([30, 120], 3, cfg, heldout, space)
-        assert len(curve.rows) == 6
+        assert [len(cracks) for cracks in curve.cracks] == [3, 3]
         assert [s.length for s in curve.summaries] == [30, 120]
         for s in curve.summaries:
             assert s.trials == 3
             assert 0.0 <= s.mean_plaintext_accuracy <= 1.0
         assert curve.unicity_letters > 0
 
+    def test_repeated_length_pools_its_trials(self, bigram_model, english_split, space):
+        """A length listed twice keeps one tuple of cracks per listing,
+        and each of its summaries covers the trials of both."""
+        _, heldout = english_split
+        cfg = AttackConfig(model=bigram_model, iterations=200, restarts=0, seed=4)
+        curve = recovery_curve([30, 60, 30], 2, cfg, heldout, space)
+        assert [len(cracks) for cracks in curve.cracks] == [2, 2, 2]
+        pooled = [c.plaintext_accuracy for c in curve.cracks[0] + curve.cracks[2]]
+        first, _, last = curve.summaries
+        assert first == last
+        assert first.trials == 4 and first.mean_plaintext_accuracy == np.mean(pooled)
+
     @pytest.mark.parametrize("batch_chains", [64, 6])
     def test_rows_match_standalone_cracks(
         self, bigram_model, english_split, space, monkeypatch, batch_chains
     ):
         """A curve runs its trials' chains in batches of up to
-        batch_chains; each row is still the crack of its own ciphertext
+        batch_chains; each trial is still the crack of its own ciphertext
         under its attack seed, whichever batch it ran in."""
         monkeypatch.setattr(attack, "_BATCH_CHAINS", batch_chains)
         _, heldout = english_split
         cfg = AttackConfig(model=bigram_model, iterations=1500, restarts=2, seed=5)
-        curve = recovery_curve([20, 90, 300], 2, cfg, heldout, space)
-        for i, row in enumerate(curve.rows):
-            cipher, seed, key = _trial_job(heldout, space, cfg.seed, row.length, i)
-            assert seed == row.seed
+        lengths = [20, 90, 300]
+        curve = recovery_curve(lengths, 2, cfg, heldout, space)
+        trials = [(n, crack) for n, cracks in zip(lengths, curve.cracks) for crack in cracks]
+        assert len(trials) == 6
+        for i, (n, crack) in enumerate(trials):
+            cipher, seed, key = _trial_job(heldout, space, cfg.seed, n, i)
+            assert seed == crack.seed
             res = mcmc_crack(cipher, replace(cfg, seed=seed), key)
-            assert res.best_score_bits == row.best_score_bits
-            assert res.key_accuracy == row.key_accuracy
-            assert res.plaintext_accuracy == row.plaintext_accuracy
+            assert res.best_score_bits == crack.best_score_bits
+            assert res.key_accuracy == crack.key_accuracy
+            assert res.plaintext_accuracy == crack.plaintext_accuracy
 
     def test_validation(self, bigram_model, english_split, space):
         _, heldout = english_split

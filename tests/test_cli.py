@@ -9,10 +9,12 @@ import pytest
 from unicity import (
     SUBSTITUTION,
     Alphabet,
+    AttackConfig,
     KeySpace,
     build_toy_language,
     expected_spurious_keys,
     mutual_information,
+    recovery_curve,
     reliability_check,
     theoretical_mutual_information,
     unicity_distance,
@@ -375,6 +377,20 @@ class TestSpurious:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_exhaustive_se_past_float_square(self, capsys):
+        """At 172 symbols and N = 3 the construction means (about 1e306)
+        fit a float but their squares do not: the SE is still finite, and
+        nothing is printed to stderr."""
+        symbols = "".join(chr(0x100 + i) for i in range(172))
+        code, out, err = run_cli(capsys, "spurious", "--mode", "exhaustive", "--alphabet-symbols",
+                                 symbols, "--rate", "1", "--constructions", "3", "--seed", "1",
+                                 "--format", "json")
+        assert code == 0
+        assert err == ""
+        (row,) = json.loads(out)["results"]["rows"]
+        assert math.isfinite(row["observed_mean"]) and row["observed_mean"] > 1e305
+        assert row["observed_se"] == 2.7571064224822056e305
+
     def test_exhaustive_exact_past_int64(self, capsys):
         """26! keys, counts above 2**63: the mean equals the orbit closed
         form |L & O(m)| * (G - k)! - 1, computed here in Python ints."""
@@ -649,6 +665,29 @@ class TestAttack:
             "seed",
         ]
         assert len(rows) == 4
+
+    def test_curve_rows_are_the_curve_cracks(self, capsys, latin, english_split, bigram_model):
+        """Each curve row holds its trial's crack from recovery_curve,
+        field by field, in length then trial order."""
+        code, out, _ = run_cli(
+            capsys, "attack", "--corpus", str(CORPUS_PATH), "--lengths", "30,60,120",
+            "--trials", "3", "--iterations", "400", "--restarts", "1", "--seed", "8",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        _, heldout = english_split
+        config = AttackConfig(model=bigram_model, iterations=400, restarts=1, seed=8)
+        curve = recovery_curve([30, 60, 120], 3, config, heldout, KeySpace(SUBSTITUTION, latin))
+        want = [
+            {"N": n, "trial": t, "key_accuracy": crack.key_accuracy,
+             "plaintext_accuracy": crack.plaintext_accuracy,
+             "best_score_bits": crack.best_score_bits, "iterations": crack.iterations,
+             "seed": crack.seed}
+            for n, cracks in zip([30, 60, 120], curve.cracks) for t, crack in enumerate(cracks)
+        ]
+        assert len(want) == 9
+        assert rows == want
 
     def test_curve_workers_do_not_change_results(self, capsys):
         """--workers is accepted and echoed, but has no effect."""

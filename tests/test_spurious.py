@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from unicity import (
     SUBSTITUTION,
     Alphabet,
     KeySpace,
-    MonteCarloEstimate,
     ToyLanguage,
     build_toy_language,
     exhaustive_spurious_counts,
@@ -25,6 +25,7 @@ from unicity import (
     monte_carlo_spurious,
     unicity_distance,
 )
+from unicity.spurious import mean_and_se
 
 
 class TestUnicityDistance:
@@ -231,15 +232,33 @@ class TestCountSpurious:
         assert abs(expected - 10 / 3) < 1e-12
 
 
+class TestMeanAndSe:
+    def test_exact_only_past_the_float_range(self):
+        """numpy's mean and SE where they fit; a sum or sum of squares
+        past the float range is done exactly, without a warning."""
+        values = np.array([[1.0, 2.0, 4.5], [1.2e306, 3.4e305, 3.4e305], [1e308, 1.5e308, 1.7e308]])
+        means, ses = mean_and_se(values)
+        assert means[0] == values[0].mean() and ses[0] == values[0].std(ddof=1) / math.sqrt(3)
+        assert means[1] == values[1].mean()  # only its squares overflow
+        for i in (1, 2):
+            assert ses[i] == statistics.stdev(values[i].tolist()) / math.sqrt(3)
+        assert means[2] == statistics.mean(values[2].tolist())
+        mean, se = mean_and_se(np.full(40, 7e306))
+        assert mean == 7e306 and se == 0.0
+        mean, se = mean_and_se(np.array([5.0]))
+        assert mean.shape == se.shape == ()
+        assert mean == 5.0 and math.isnan(se)
+
+
 class TestMonteCarlo:
     def test_matches_exhaustive(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=21)
         exact = exhaustive_spurious_counts(space, toy).mean()
-        (est,) = monte_carlo_spurious(space, [toy], 3, 400, [5])
-        assert est.se > 0
-        assert abs(est.mean - exact) <= 3 * est.se
+        (mean,), (se,) = monte_carlo_spurious(space, [toy], [5], 400)
+        assert se > 0
+        assert abs(mean - exact) <= 3 * se
 
     @pytest.mark.parametrize("kind", [SUBSTITUTION, SHIFT])
     @pytest.mark.parametrize("g, n, rate", [(2, 3, 1.0), (3, 3, 1.0), (4, 3, 1.5), (6, 4, 2.0)])
@@ -248,10 +267,10 @@ class TestMonteCarlo:
         ab = Alphabet.first_n(g)
         space = KeySpace(kind, ab)
         toy = build_toy_language(ab, n, rate, seed=g)
-        (est,) = monte_carlo_spurious(space, [toy], n, 6, [3], keys_per_trial=keys_per_trial)
+        (mean,), (se,) = monte_carlo_spurious(space, [toy], [3], 6, keys_per_trial=keys_per_trial)
         reference = np.array(monte_carlo_estimates(space, toy, 6, 3, keys_per_trial))
-        assert est.mean == reference.mean()
-        assert est.se == reference.std(ddof=1) / math.sqrt(6)
+        assert mean == reference.mean()
+        assert se == reference.std(ddof=1) / math.sqrt(6)
 
     @pytest.mark.parametrize("kind", [SUBSTITUTION, SHIFT])
     @pytest.mark.parametrize("trials", [1, 2, 9, 37])
@@ -262,15 +281,15 @@ class TestMonteCarlo:
         space = KeySpace(kind, ab)
         toys = [build_toy_language(ab, 3, 1.2, seed=s) for s in (0, 1, 1, 2)]
         seeds = [7, 7, 8, 9]
-        block = monte_carlo_spurious(space, toys, 3, trials, seeds, keys_per_trial=5)
-        alone = [monte_carlo_spurious(space, [toy], 3, trials, [seed], keys_per_trial=5)[0]
+        means, ses = monte_carlo_spurious(space, toys, seeds, trials, keys_per_trial=5)
+        alone = [monte_carlo_spurious(space, [toy], [seed], trials, keys_per_trial=5)
                  for toy, seed in zip(toys, seeds)]
-        assert len(block) == 4
-        for got, want in zip(block, alone):
-            assert got.mean == want.mean
-            assert got.se == want.se or math.isnan(got.se) and math.isnan(want.se)
-        reverse = monte_carlo_spurious(space, toys[::-1], 3, trials, seeds[::-1], keys_per_trial=5)
-        assert [e.mean for e in reverse] == [e.mean for e in block[::-1]]
+        assert means.shape == ses.shape == (4,)
+        assert means.dtype == ses.dtype == np.float64
+        np.testing.assert_array_equal(means, [mean for (mean,), _ in alone])
+        np.testing.assert_array_equal(ses, [se for _, (se,) in alone])
+        reverse, _ = monte_carlo_spurious(space, toys[::-1], seeds[::-1], trials, keys_per_trial=5)
+        np.testing.assert_array_equal(reverse, means[::-1])
 
     def test_one_key_space_has_no_spurious_keys(self, monkeypatch):
         """With a single key there is no wrong key to draw: the estimate
@@ -285,25 +304,25 @@ class TestMonteCarlo:
         monkeypatch.setattr(KeySpace, "sample_mappings", no_draw)
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         space = KeySpace(SUBSTITUTION, one)
-        assert monte_carlo_spurious(space, [toy, toy], 3, 4, [0, 1]) == [
-            MonteCarloEstimate(mean=0.0, se=0.0)] * 2
-        (single,) = monte_carlo_spurious(space, [toy], 3, 1, [0])
-        assert single.mean == 0.0 and math.isnan(single.se)
+        means, ses = monte_carlo_spurious(space, [toy, toy], [0, 1], 4)
+        assert means.tolist() == [0.0, 0.0] and ses.tolist() == [0.0, 0.0]
+        (mean,), (se,) = monte_carlo_spurious(space, [toy], [0], 1)
+        assert mean == 0.0 and math.isnan(se)
 
     def test_single_trial_se_undefined(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=22)
-        (est,) = monte_carlo_spurious(space, [toy], 3, 1, [0])
-        assert math.isnan(est.se)
+        _, (se,) = monte_carlo_spurious(space, [toy], [0], 1)
+        assert math.isnan(se)
 
     def test_deterministic(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=23)
-        a = monte_carlo_spurious(space, [toy], 3, 37, [77])
-        b = monte_carlo_spurious(space, [toy], 3, 37, [77])
-        assert a == b
+        a = monte_carlo_spurious(space, [toy], [77], 37)
+        b = monte_carlo_spurious(space, [toy], [77], 37)
+        np.testing.assert_array_equal(a, b)
 
     def test_trials_validation(self):
         ab = Alphabet.first_n(4)
@@ -311,15 +330,15 @@ class TestMonteCarlo:
         toy = build_toy_language(ab, 3, 1.0, seed=1)
         longer = build_toy_language(ab, 4, 1.0, seed=1)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy], 3, 0, [0])
+            monte_carlo_spurious(space, [toy], [0], 0)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy], 3, 2, [0], keys_per_trial=0)
+            monte_carlo_spurious(space, [toy], [0], 2, keys_per_trial=0)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy], 4, 2, [0])  # not its length
+            monte_carlo_spurious(space, [toy, longer], [0, 1], 2)  # one of two lengths
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy, longer], 3, 2, [0, 1])  # one of two lengths
+            monte_carlo_spurious(space, [toy, toy], [0], 2)  # a seed short
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy, toy], 3, 2, [0])  # a seed short
+            monte_carlo_spurious(space, [], [], 2)  # no construction
 
 
 class TestUnicityReport:
