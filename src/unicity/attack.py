@@ -503,12 +503,14 @@ def recovery_curve(
     corpus: np.ndarray,
     space: KeySpace,
 ) -> RecoveryCurveResult:
-    """Attack fresh (plaintext slice, uniform key) pairs at each length
-    and summarize recovery accuracy, alongside the theoretical unicity
-    distance for this key space and scoring model."""
+    """Attack fresh (plaintext slice, uniform key) pairs at each of the
+    distinct lengths and summarize recovery accuracy, alongside the
+    theoretical unicity distance for this key space and scoring model."""
     lengths = list(lengths)
     if not lengths:
         raise ValueError("lengths must be nonempty")
+    if len(set(lengths)) < len(lengths):
+        raise ValueError("lengths must be distinct")
     if trials_per_length < 1:
         raise ValueError("trials_per_length must be >= 1")
     corpus = np.asarray(corpus, dtype=np.int64)
@@ -530,11 +532,9 @@ def recovery_curve(
               for i in range(0, len(results), trials_per_length)]
 
     summaries = []
-    for n in lengths:
-        # a length listed twice is summarized over the trials of both
-        pooled = [r for m, group in zip(lengths, cracks) if m == n for r in group]
-        accs = np.array([r.plaintext_accuracy for r in pooled])
-        keys = np.array([r.key_accuracy for r in pooled])
+    for n, group in zip(lengths, cracks):
+        accs = np.array([r.plaintext_accuracy for r in group])
+        keys = np.array([r.key_accuracy for r in group])
         mean, se = mean_and_se(accs)
         summaries.append(
             LengthSummary(

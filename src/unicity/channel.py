@@ -77,16 +77,16 @@ def mutual_information(language: ToyLanguage, space: KeySpace) -> tuple[float, f
     C in O, P is uniform over the n_O members in O, so I_A needs only the
     class counts. I_B sums over ciphertexts, each point of O having
     probability n_O/(M*|O|), and takes H(C|P) per message, so it also
-    needs the orbit sizes; they stay in the log domain.
+    needs the orbit sizes. Both sum over the classes of
+    `KeySpace.orbit_summary`; orbit sizes stay in the log domain, taken
+    from the exact stabilizer sizes, so they are finite at every G.
     """
     m = language.size
-    labels, stab = space.orbit_classes(language.messages)
-    _, first, n_o = np.unique(labels, return_index=True, return_counts=True)
-    log2_orbit = space.key_entropy_bits - np.log2(stab.astype(np.float64))
+    index, n_o, _, log2_stab = space.orbit_summary(language.messages)
+    log2_orbit = space.key_entropy_bits - log2_stab
     class_p = n_o / m
     h_p = math.log2(m)
     i_a = h_p - float(class_p @ np.log2(n_o))
-    h_c = float(class_p @ (h_p + log2_orbit[first] - np.log2(n_o)))
-    i_b = h_c - float(log2_orbit.mean())
+    h_c = float(class_p @ (h_p + log2_orbit - np.log2(n_o)))
+    i_b = h_c - float(log2_orbit[index].mean())
     return i_a, i_b
-

@@ -3,9 +3,9 @@
 A key is a permutation of alphabet indices mapping plaintext symbol to
 ciphertext symbol. Key spaces carry exact key counts and key entropy
 under the uniform prior and sample keys uniformly. Each key family is a
-group (S_G or Z_G) acting on messages, and `KeySpace.orbit_classes`
-describes its orbits; counts over a key space come from those orbits,
-not from listing its keys.
+group (S_G or Z_G) acting on messages, and `KeySpace.orbit_summary`
+tabulates its orbit classes; counts over a key space come from that
+table, not from listing its keys.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ class SubstitutionKey:
         object.__setattr__(self, "mapping", arr)
         arr.flags.writeable = False
 
-    @classmethod
-    def _of_permutation(cls, mapping: np.ndarray) -> "SubstitutionKey":
-        """Key of an int64 array that is a permutation by construction,
-        such as a draw of rng.permutation, without checking it again."""
-        key = object.__new__(cls)
-        object.__setattr__(key, "mapping", mapping)
-        mapping.flags.writeable = False
-        return key
-
     @property
     def size(self) -> int:
         return int(self.mapping.size)
@@ -50,7 +41,7 @@ class SubstitutionKey:
     def inverse(self) -> "SubstitutionKey":
         inv = np.empty_like(self.mapping)
         inv[self.mapping] = np.arange(self.mapping.size)
-        return SubstitutionKey._of_permutation(inv)
+        return SubstitutionKey(inv)
 
     def as_string(self, alphabet: Alphabet) -> str:
         """Ciphertext image of the alphabet, e.g. a 26-char string."""
@@ -114,7 +105,7 @@ class KeySpace:
         return math.log2(g)
 
     def sample(self, rng: np.random.Generator) -> SubstitutionKey:
-        return SubstitutionKey._of_permutation(self.sample_mappings(rng, 1)[0])
+        return SubstitutionKey(self.sample_mappings(rng, 1)[0])
 
     def sample_mappings(self, rng: np.random.Generator, n: int,
                         out: np.ndarray | None = None) -> np.ndarray:
@@ -138,36 +129,38 @@ class KeySpace:
         out[...] = (letters + rng.integers(g, size=(n, 1))) % g
         return out
 
-    def orbit_classes(self, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Orbit label and stabilizer size of each (M, N) message row.
+    def orbit_summary(self, messages: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Orbit classes of the (M, N) message rows: (index, n_o, stab,
+        log2_stab).
 
         The keys form a group acting on messages letter by letter, so a
         uniform key sends a message uniformly over its orbit and reaches
-        each point |Stab| times. Two rows share a label iff some key maps
-        one onto the other. Substitution: the label is the equality
-        pattern (each letter replaced by the rank of its first
-        occurrence) and |Stab| = (G - k)! for k distinct letters. Shift:
-        the label is the row minus its first letter, mod G, and
-        |Stab| = 1. Labels are base-G codes; stabilizer sizes are exact
+        each point |Stab| times. Two rows share a class iff some key maps
+        one onto the other. index is each row's class and n_o each
+        class's member count. stab holds each class's |Stab| as exact
         Python ints in an object array, since (G - 1)! overflows int64
-        from G = 22.
+        from G = 22, and log2_stab their math.log2, finite at every G.
+        Substitution: a class is an equality pattern (each letter
+        replaced by the rank of its first occurrence) and
+        |Stab| = (G - k)! for k distinct letters. Shift: a class is a row
+        minus its first letter, mod G, and |Stab| = 1.
         """
         g = self.alphabet.size
         rows = _check_codes(messages, g)
-        n = rows.shape[1]
         if self.kind == SHIFT:
             pattern = (rows - rows[:, :1]) % g
-            stab = np.ones(rows.shape[0], dtype=object)
+            distinct = np.full(rows.shape[0], g)  # (G - G)! = 1: only the identity fixes a row
         else:
             # first[m, j]: where row m first holds the letter at its position j
             first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=1)
-            is_new = first == np.arange(n)
+            is_new = first == np.arange(rows.shape[1])
             rank = np.cumsum(is_new, axis=1) - 1
             pattern = np.take_along_axis(rank, first, axis=1)
-            free = np.array([math.factorial(g - k) for k in range(min(n, g) + 1)],
-                            dtype=object)
-            stab = free[is_new.sum(axis=1)]
-        return encode_rows(pattern, g), stab
+            distinct = is_new.sum(axis=1)
+        _, rep, index, n_o = np.unique(encode_rows(pattern, g), return_index=True,
+                                       return_inverse=True, return_counts=True)
+        stab = np.array([math.factorial(g - k) for k in distinct[rep].tolist()], dtype=object)
+        return index, n_o, stab, np.array([math.log2(s) for s in stab.tolist()])
 
 
 def parse_keys(text: str, alphabet: Alphabet) -> list[SubstitutionKey]:

@@ -82,8 +82,8 @@ PARAMS = {
     "n_min": (int, "an integer >= 0", lambda v: v >= 0, "first length of the curve"),
     "n_max": (int, "an integer", None, "last length of the curve"),
     "n_step": (int, "an integer >= 1", lambda v: v >= 1, "step between lengths"),
-    "length": (str, "a string", None, "message length N, or comma list"),
-    "lengths": (str, "a string", None, "comma list of message or ciphertext lengths"),
+    "length": (str, "a string", None, "message length N, or comma list of distinct lengths"),
+    "lengths": (str, "a string", None, "comma list of distinct message or ciphertext lengths"),
     "rate": (float, "a number >= 0", lambda v: v >= 0, "toy-language bits per letter"),
     "constructions": (int, "an integer >= 1", lambda v: v >= 1, "number of toy-language draws"),
     "mode": (str, "a string", None, "what to run"),
@@ -158,6 +158,8 @@ def _parse_lengths(value: str) -> list[int]:
         lengths = []
     if not lengths or min(lengths) < 1:
         raise UsageError(f"lengths must be comma-separated positive integers, got {value!r}")
+    if len(set(lengths)) < len(lengths):
+        raise UsageError(f"lengths must be distinct, got {value!r}")
     return lengths
 
 

@@ -9,14 +9,15 @@ at hand. For substitution ciphers the two differ: a wrong key that
 agrees with the true key on every letter of the message decrypts it to
 the message itself, so it is always spurious.
 
-Exact counts for a toy language come from the orbits of the key group
-(`KeySpace.orbit_classes`), without enumerating keys, at every G up to
-26. A seeded Monte Carlo estimate, which samples wrong keys, is kept
-beside them as an independent check. It takes a block of constructions
-at once: its trials only draw, one pass scores every sampled key of the
-block, and only the sampled messages are decoded. The CLI's `unicity`
-command tabulates the estimate and the bound over a range of lengths,
-and its `spurious` command sets the estimate beside the counts.
+Exact counts for a toy language come from the orbit classes of the key
+group (`KeySpace.orbit_summary`), without enumerating keys, and are
+exact Python integers at every G. A seeded Monte Carlo estimate, which
+samples wrong keys, is kept beside them as an independent check. It
+takes a block of constructions at once: its trials only draw, one pass
+scores every sampled key of the block, and only the sampled messages
+are decoded. The CLI's `unicity` command tabulates the estimate and the
+bound over a range of lengths, and its `spurious` command sets the
+estimate beside the counts.
 """
 
 from __future__ import annotations
@@ -173,9 +174,8 @@ def exhaustive_spurious_counts(space: KeySpace, language: ToyLanguage) -> np.nda
     product minus one. No key is enumerated. Entries are exact Python
     ints in an object array, since they pass 2**63 from G = 21.
     """
-    labels, stab = space.orbit_classes(language.messages)
-    _, inverse, class_size = np.unique(labels, return_inverse=True, return_counts=True)
-    return class_size[inverse] * stab - 1
+    index, n_o, stab, _ = space.orbit_summary(language.messages)
+    return (n_o * stab - 1)[index]
 
 
 def mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -266,17 +266,13 @@ class TestRecoveryCurve:
             assert 0.0 <= s.mean_plaintext_accuracy <= 1.0
         assert curve.unicity_letters > 0
 
-    def test_repeated_length_pools_its_trials(self, bigram_model, english_split, space):
-        """A length listed twice keeps one tuple of cracks per listing,
-        and each of its summaries covers the trials of both."""
+    def test_repeated_length_rejected(self, bigram_model, english_split, space):
+        """A length listed twice would give two summaries of that length
+        that no report could tell apart."""
         _, heldout = english_split
         cfg = AttackConfig(model=bigram_model, iterations=200, restarts=0, seed=4)
-        curve = recovery_curve([30, 60, 30], 2, cfg, heldout, space)
-        assert [len(cracks) for cracks in curve.cracks] == [2, 2, 2]
-        pooled = [c.plaintext_accuracy for c in curve.cracks[0] + curve.cracks[2]]
-        first, _, last = curve.summaries
-        assert first == last
-        assert first.trials == 4 and first.mean_plaintext_accuracy == np.mean(pooled)
+        with pytest.raises(ValueError, match="distinct"):
+            recovery_curve([30, 60, 30], 2, cfg, heldout, space)
 
     @pytest.mark.parametrize("batch_chains", [64, 6])
     def test_rows_match_standalone_cracks(

@@ -99,28 +99,31 @@ class TestJointDistribution:
         toy = build_toy_language(ab, 1, 1.0, seed=0)  # both messages
         for kind in (SUBSTITUTION, SHIFT):
             space = KeySpace(kind, ab)
-            labels, _ = space.orbit_classes(toy.messages)
-            assert np.unique(labels).size == 1
+            _, n_o, _, _ = space.orbit_summary(toy.messages)
+            assert n_o.tolist() == [2]
             i_a, i_b = mutual_information(toy, space)
             assert abs(i_a) <= 1e-9 and abs(i_b) <= 1e-9
 
     def test_every_ciphertext_is_a_key_image_of_a_message(self):
-        """Orbit labels and stabilizer sizes against the key images of
+        """Orbit classes and stabilizer sizes against the key images of
         every message, G <= 4, N <= 3, both ciphers: two messages share a
-        label iff some key maps one onto the other, and the stabilizer
-        size is the number of keys that fix the message."""
+        class iff some key maps one onto the other, n_o counts its
+        members, and the stabilizer size is the number of keys that fix
+        each of them."""
         for g in (2, 3, 4):
             for n in (1, 2, 3):
                 msgs = list(itertools.product(range(g), repeat=n))
                 for kind in (SUBSTITUTION, SHIFT):
                     space = KeySpace(kind, Alphabet.first_n(g))
-                    labels, stab = space.orbit_classes(np.array(msgs))
+                    index, n_o, stab, log2_stab = space.orbit_summary(np.array(msgs))
                     keys = key_tuples(kind, g)
                     for mi, msg in enumerate(msgs):
                         images = [tuple(key[s] for s in msg) for key in keys]
-                        same_label = {msgs[j] for j in np.flatnonzero(labels == labels[mi])}
-                        assert same_label == set(images)
-                        assert stab[mi] == images.count(msg)
+                        same_class = {msgs[j] for j in np.flatnonzero(index == index[mi])}
+                        assert same_class == set(images)
+                        assert n_o[index[mi]] == len(same_class)
+                        assert stab[index[mi]] == images.count(msg)
+                    assert log2_stab.tolist() == [math.log2(s) for s in stab]
 
 
 class TestEmpiricalMI:

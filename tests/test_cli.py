@@ -364,10 +364,9 @@ class TestSpurious:
         ["spurious", "--mode", "monte-carlo", "--length", "1", "--trials", "2",
          "--keys-per-trial", "2"],
         ["spurious", "--mode", "exhaustive", "--length", "1"],
-        ["channel", "--lengths", "1,2"],
     ])
     def test_counts_past_float_range_exit_1(self, capsys, argv):
-        """At 172 symbols G! - 1 and the stabilizer sizes pass the float
+        """At 172 symbols G! - 1 and the spurious counts pass the float
         range: the run fails with one error line, not a traceback."""
         symbols = "".join(chr(0x100 + i) for i in range(172))
         code, out, err = run_cli(capsys, *argv, "--alphabet-symbols", symbols, "--rate", "1",
@@ -503,6 +502,19 @@ class TestChannel:
         assert abs(three["I_theoretical"] - (6 - math.log2(24))) < 1e-12
         assert abs(three["I_empA"] - three["I_empB"]) <= 1e-9
         assert abs(three["N_min"] - math.log2(24)) < 1e-12
+
+    def test_stabilizers_past_float_range(self, capsys):
+        """At 172 symbols the stabilizer sizes pass the float range but
+        their logs do not: I(P;C) is exact at N = 1, where both messages
+        share one orbit, and both decompositions agree at N = 2."""
+        symbols = "".join(chr(0x100 + i) for i in range(172))
+        code, out, err = run_cli(capsys, "channel", "--lengths", "1,2", "--alphabet-symbols",
+                                 symbols, "--rate", "1", "--seed", "1", "--format", "json")
+        assert code == 0
+        assert err == ""
+        first, second = json.loads(out)["results"]["rows"]
+        assert first["I_empA"] == first["I_empB"] == 0.0
+        assert abs(second["I_empA"] - second["I_empB"]) <= 1e-9
 
     def test_full_rate_is_the_absolute_rate(self, capsys):
         """log2(3**5) / 5 rounds above log2(3); a language of every
@@ -894,6 +906,8 @@ MISSING_FILE = "<file: missing>"
          "--iterations", "50", "--alpha", "1e-320"],
         ["attack", "--corpus", str(CORPUS_PATH), "--lengths", "25", "--trials", "1",
          "--iterations", "50", "--alpha", "1e307"],
+        ["attack", "--corpus", str(CORPUS_PATH), "--lengths", "30,30", "--trials", "2",
+         "--iterations", "300", "--restarts", "1", "--seed", "5"],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
@@ -910,7 +924,7 @@ MISSING_FILE = "<file: missing>"
         "ciphertext-file-latin-1", "config-missing", "config-not-json",
         "config-alpha-past-float-range", "ciphertext-no-symbols", "true-key-file-two-keys",
         "n-max-past-list-size", "alpha-underflows", "alpha-overflows", "unicity-alpha-underflows",
-        "crack-alpha-underflows", "curve-alpha-overflows",
+        "crack-alpha-underflows", "curve-alpha-overflows", "attack-lengths-repeated",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):

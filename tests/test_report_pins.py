@@ -12,6 +12,12 @@ Digests were taken with numpy 2.4.6. The seeded draws (PCG64 streams,
 practice, but numpy does not promise it; on another numpy version a
 mismatch here should first be checked against a run of the parent
 commit.
+
+The --help text of the program and of each subcommand is pinned the same
+way, at COLUMNS=80, so that a new flag or a changed default shows as a
+broken pin. Those digests were taken with Python 3.11.7; argparse's
+layout differs between Python releases, so on another version a mismatch
+here should first be checked against a run of the parent commit.
 """
 
 import hashlib
@@ -97,3 +103,22 @@ def test_report_bytes_pinned(capsys, monkeypatch, tmp_path, name, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[name, fmt]
+
+
+HELP_DIGESTS = {
+    "unicity": "981f7f5c5549c4280aa4565e3cec9180370e7ae5bf13903c20c690a4cd905713",
+    "unicity corpus-stats": "f397babacdbf7ac2fc054cd8de7e4c0d23808a17a4f559119c473760c6327302",
+    "unicity unicity": "b3259899130f4958177c18cae26d814536d20035c90d083d175aeb70253c4587",
+    "unicity spurious": "76a06448d49e584e5c1d3ada3c04d4444d941c83dfbde9b2d802ac43f70ff6ce",
+    "unicity channel": "1d800d1707484e0b08794150ba215826d23912db2a8f9b8b26c2862b4bc399bc",
+    "unicity attack": "5d04c0c33534116e1d90be6b471f153c5cf68c01b2b05bd734c514d04db0a281",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_DIGESTS))
+def test_help_bytes_pinned(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main([*name.split()[1:], "--help"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[name]
