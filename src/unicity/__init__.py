@@ -37,7 +37,6 @@ from .channel import (
 from .attack import (
     AttackConfig,
     AttackResult,
-    RecoveryCurveResult,
     mcmc_crack,
     recovery_curve,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "EmptyTextError",
     "KeySpace",
     "NGramModel",
-    "RecoveryCurveResult",
     "RedundancyEstimate",
     "SHIFT",
     "SUBSTITUTION",

@@ -39,8 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cipher import KeySpace, SubstitutionKey, encrypt
-from .lang import NGramModel, decode_codes, encode_rows, redundancy
-from .spurious import mean_and_se, unicity_distance
+from .lang import NGramModel, decode_codes, encode_rows
 
 # proposals drawn per chain and stream in one refill
 _BLOCK = 200
@@ -79,7 +78,11 @@ class AttackConfig:
 class AttackResult:
     best_key: SubstitutionKey
     best_score_bits: float
-    score_trace: np.ndarray  # best-so-far at each checkpoint and the end, nonincreasing
+    # each chain's score at its start, every checkpoint_interval steps and
+    # its end, the chains laid end to end in restart order under one running
+    # minimum: (restarts+1) * (1 + ceil(iterations / interval)) entries,
+    # nonincreasing, ending at best_score_bits
+    score_trace: np.ndarray
     key_accuracy: float | None
     plaintext_accuracy: float | None
     iterations: int
@@ -465,25 +468,6 @@ def mcmc_crack(
     return _crack_jobs([(ciphertext, config.seed, true_key)], config)[0]
 
 
-@dataclass(frozen=True)
-class LengthSummary:
-    length: int
-    trials: int
-    mean_key_accuracy: float
-    mean_plaintext_accuracy: float
-    se_plaintext_accuracy: float
-    median_plaintext_accuracy: float
-    min_plaintext_accuracy: float
-    max_plaintext_accuracy: float
-
-
-@dataclass(frozen=True)
-class RecoveryCurveResult:
-    cracks: tuple[tuple[AttackResult, ...], ...]  # per length, in trial order
-    summaries: tuple[LengthSummary, ...]
-    unicity_letters: float
-
-
 def _trial_job(corpus, space, seed, length, run_index):
     """The (ciphertext, attack seed, true key) of one curve trial."""
     ss = np.random.SeedSequence(entropy=(seed, run_index))
@@ -502,10 +486,10 @@ def recovery_curve(
     config: AttackConfig,
     corpus: np.ndarray,
     space: KeySpace,
-) -> RecoveryCurveResult:
-    """Attack fresh (plaintext slice, uniform key) pairs at each of the
-    distinct lengths and summarize recovery accuracy, alongside the
-    theoretical unicity distance for this key space and scoring model."""
+) -> tuple[tuple[AttackResult, ...], ...]:
+    """Attack trials_per_length fresh (plaintext slice, uniform key)
+    pairs at each of the distinct lengths. Returns one tuple of cracks
+    per length, in the order given, each in trial order."""
     lengths = list(lengths)
     if not lengths:
         raise ValueError("lengths must be nonempty")
@@ -528,30 +512,5 @@ def recovery_curve(
     results = []
     for i in range(0, len(jobs), per_batch):
         results += _crack_jobs(jobs[i : i + per_batch], config)
-    cracks = [tuple(results[i : i + trials_per_length])
-              for i in range(0, len(results), trials_per_length)]
-
-    summaries = []
-    for n, group in zip(lengths, cracks):
-        accs = np.array([r.plaintext_accuracy for r in group])
-        keys = np.array([r.key_accuracy for r in group])
-        mean, se = mean_and_se(accs)
-        summaries.append(
-            LengthSummary(
-                length=n,
-                trials=int(accs.size),
-                mean_key_accuracy=float(keys.mean()),
-                mean_plaintext_accuracy=float(mean),
-                se_plaintext_accuracy=float(se),
-                median_plaintext_accuracy=float(np.median(accs)),
-                min_plaintext_accuracy=float(accs.min()),
-                max_plaintext_accuracy=float(accs.max()),
-            )
-        )
-
-    d = redundancy(config.model).redundancy
-    return RecoveryCurveResult(
-        cracks=tuple(cracks),
-        summaries=tuple(summaries),
-        unicity_letters=unicity_distance(space.key_entropy_bits, d),
-    )
+    return tuple(tuple(results[i : i + trials_per_length])
+                 for i in range(0, len(results), trials_per_length))

@@ -36,8 +36,8 @@ def theoretical_mutual_information(
     still acts like a one-time pad."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if rate_max <= 0:
-        raise ValueError("rate_max must be positive")
+    if rate_max < 0:
+        raise ValueError("rate_max must be nonnegative")
     if key_entropy_bits < 0:
         raise ValueError("key entropy must be nonnegative")
     raw = length * rate_max - key_entropy_bits

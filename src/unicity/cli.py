@@ -191,15 +191,6 @@ def _sanitize(obj):
     return obj
 
 
-def _as_row(record, **renamed) -> dict:
-    """A result dataclass's fields as a report row, with the keys given
-    as new=old renamed."""
-    row = dict(vars(record))
-    for new, old in renamed.items():
-        row[new] = row.pop(old)
-    return row
-
-
 def _emit(cfg: dict, command: str, results: dict, rows: list[dict], columns: list[str]) -> str:
     """The report text. JSON holds the results; CSV has one line per row
     dict, projected through the columns: "header" for the row key of the
@@ -471,7 +462,7 @@ def cmd_attack(cfg: dict) -> str:
         cipher_codes = _encode_text(raw, alphabet, "ciphertext")
         result = mcmc_crack(cipher_codes, config(codes), _true_key(cfg, alphabet))
         results = {
-            **_as_row(result),
+            **vars(result),
             "best_key": result.best_key.as_string(alphabet),
             "score_trace": result.score_trace.tolist(),
             "decryption": alphabet.decode(result.best_key.inverse().mapping[cipher_codes]),
@@ -491,18 +482,32 @@ def cmd_attack(cfg: dict) -> str:
             f"held-out corpus ({heldout.size} letters) shorter than the "
             f"longest requested length {max(lengths)}"
         )
-    curve = recovery_curve(
-        lengths, cfg["trials"], config(train), heldout, KeySpace(SUBSTITUTION, alphabet)
-    )
-    rows = [
-        {"N": n, "trial": t, "key_accuracy": r.key_accuracy,
-         "plaintext_accuracy": r.plaintext_accuracy, "best_score_bits": r.best_score_bits,
-         "iterations": r.iterations, "seed": r.seed}
-        for n, cracks in zip(lengths, curve.cracks) for t, r in enumerate(cracks)
-    ]
+    curve_config, space = config(train), KeySpace(SUBSTITUTION, alphabet)
+    curve = recovery_curve(lengths, cfg["trials"], curve_config, heldout, space)
+    rows, summaries = [], []
+    for n, cracks in zip(lengths, curve):
+        rows += [
+            {"N": n, "trial": t, "key_accuracy": r.key_accuracy,
+             "plaintext_accuracy": r.plaintext_accuracy, "best_score_bits": r.best_score_bits,
+             "iterations": r.iterations, "seed": r.seed}
+            for t, r in enumerate(cracks)
+        ]
+        accs = np.array([r.plaintext_accuracy for r in cracks])
+        mean, se = mean_and_se(accs)
+        summaries.append({
+            "N": n,
+            "trials": int(accs.size),
+            "mean_key_accuracy": float(np.mean([r.key_accuracy for r in cracks])),
+            "mean_plaintext_accuracy": float(mean),
+            "se_plaintext_accuracy": float(se),
+            "median_plaintext_accuracy": float(np.median(accs)),
+            "min_plaintext_accuracy": float(accs.min()),
+            "max_plaintext_accuracy": float(accs.max()),
+        })
+    d = redundancy(curve_config.model).redundancy
     results = {
-        "unicity_distance_letters": curve.unicity_letters,
-        "summaries": [_as_row(s, N="length") for s in curve.summaries],
+        "unicity_distance_letters": unicity_distance(space.key_entropy_bits, d),
+        "summaries": summaries,
         "rows": rows,
     }
     columns = ["N", "trial", "key_accuracy", "plaintext_accuracy", "best_score_bits",

@@ -259,12 +259,11 @@ class TestRecoveryCurve:
         _, heldout = english_split
         cfg = AttackConfig(model=bigram_model, iterations=2000, restarts=2, seed=9)
         curve = recovery_curve([30, 120], 3, cfg, heldout, space)
-        assert [len(cracks) for cracks in curve.cracks] == [3, 3]
-        assert [s.length for s in curve.summaries] == [30, 120]
-        for s in curve.summaries:
-            assert s.trials == 3
-            assert 0.0 <= s.mean_plaintext_accuracy <= 1.0
-        assert curve.unicity_letters > 0
+        assert [len(cracks) for cracks in curve] == [3, 3]
+        for cracks in curve:
+            for crack in cracks:
+                assert crack.iterations == 2000 and crack.restarts == 2
+                assert 0.0 <= crack.plaintext_accuracy <= 1.0
 
     def test_repeated_length_rejected(self, bigram_model, english_split, space):
         """A length listed twice would give two summaries of that length
@@ -286,7 +285,7 @@ class TestRecoveryCurve:
         cfg = AttackConfig(model=bigram_model, iterations=1500, restarts=2, seed=5)
         lengths = [20, 90, 300]
         curve = recovery_curve(lengths, 2, cfg, heldout, space)
-        trials = [(n, crack) for n, cracks in zip(lengths, curve.cracks) for crack in cracks]
+        trials = [(n, crack) for n, cracks in zip(lengths, curve) for crack in cracks]
         assert len(trials) == 6
         for i, (n, crack) in enumerate(trials):
             cipher, seed, key = _trial_job(heldout, space, cfg.seed, n, i)

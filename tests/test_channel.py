@@ -49,7 +49,7 @@ class TestTheoreticalMI:
         with pytest.raises(ValueError):
             theoretical_mutual_information(-1, 2.0, 1.0)
         with pytest.raises(ValueError):
-            theoretical_mutual_information(1, 0.0, 1.0)
+            theoretical_mutual_information(1, -0.5, 1.0)
         with pytest.raises(ValueError):
             theoretical_mutual_information(1, 2.0, -1.0)
 

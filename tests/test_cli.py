@@ -15,12 +15,14 @@ from unicity import (
     expected_spurious_keys,
     mutual_information,
     recovery_curve,
+    redundancy,
     reliability_check,
     theoretical_mutual_information,
     unicity_distance,
 )
 import unicity.cli
 from unicity.cli import _derived_seed, main
+from unicity.spurious import mean_and_se
 
 from brute_force import monte_carlo_estimates
 from conftest import CORPUS_PATH
@@ -546,6 +548,21 @@ class TestChannel:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_one_letter_alphabet(self, capsys):
+        """At G=1 the absolute rate log2(1) is 0 and the one key leaves
+        nothing to learn: every mutual information is 0 and every length
+        is reliable."""
+        code, out, err = run_cli(
+            capsys, "channel", "--alphabet-size", "1", "--lengths", "1,2",
+            "--rate", "0", "--seed", "1", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        rows = json.loads(out)["results"]["rows"]
+        assert [row["N"] for row in rows] == [1, 2]
+        for row in rows:
+            assert row["I_theoretical"] == row["I_empA"] == row["I_empB"] == 0.0
+            assert row["reliable"] is True and row["N_min"] == 0.0
+
     def test_large_alphabet_without_key_enumeration(self, capsys):
         """262,144 messages under 26! keys: exact MI from orbit classes."""
         code, out, _ = run_cli(
@@ -680,26 +697,47 @@ class TestAttack:
 
     def test_curve_rows_are_the_curve_cracks(self, capsys, latin, english_split, bigram_model):
         """Each curve row holds its trial's crack from recovery_curve,
-        field by field, in length then trial order."""
+        field by field, in length then trial order; each length's summary
+        is the statistics of its rows; and the unicity distance is
+        H(K)/D for the model fit on the first half of the corpus."""
         code, out, _ = run_cli(
             capsys, "attack", "--corpus", str(CORPUS_PATH), "--lengths", "30,60,120",
             "--trials", "3", "--iterations", "400", "--restarts", "1", "--seed", "8",
             "--format", "json",
         )
         assert code == 0
-        rows = json.loads(out)["results"]["rows"]
+        results = json.loads(out)["results"]
         _, heldout = english_split
         config = AttackConfig(model=bigram_model, iterations=400, restarts=1, seed=8)
-        curve = recovery_curve([30, 60, 120], 3, config, heldout, KeySpace(SUBSTITUTION, latin))
+        space = KeySpace(SUBSTITUTION, latin)
+        curve = recovery_curve([30, 60, 120], 3, config, heldout, space)
         want = [
             {"N": n, "trial": t, "key_accuracy": crack.key_accuracy,
              "plaintext_accuracy": crack.plaintext_accuracy,
              "best_score_bits": crack.best_score_bits, "iterations": crack.iterations,
              "seed": crack.seed}
-            for n, cracks in zip([30, 60, 120], curve.cracks) for t, crack in enumerate(cracks)
+            for n, cracks in zip([30, 60, 120], curve) for t, crack in enumerate(cracks)
         ]
         assert len(want) == 9
-        assert rows == want
+        assert results["rows"] == want
+
+        summaries = []
+        for n in (30, 60, 120):
+            rows = [row for row in results["rows"] if row["N"] == n]
+            accs = np.array([row["plaintext_accuracy"] for row in rows])
+            mean, se = mean_and_se(accs)
+            summaries.append({
+                "N": n, "trials": 3,
+                "mean_key_accuracy": float(np.mean([row["key_accuracy"] for row in rows])),
+                "mean_plaintext_accuracy": float(mean), "se_plaintext_accuracy": float(se),
+                "median_plaintext_accuracy": float(np.median(accs)),
+                "min_plaintext_accuracy": float(accs.min()),
+                "max_plaintext_accuracy": float(accs.max()),
+            })
+        assert results["summaries"] == summaries
+        d = redundancy(bigram_model).redundancy
+        assert results["unicity_distance_letters"] == unicity_distance(space.key_entropy_bits, d)
+        assert results["unicity_distance_letters"] > 0
 
     def test_curve_workers_do_not_change_results(self, capsys):
         """--workers is accepted and echoed, but has no effect."""
