@@ -107,27 +107,21 @@ class KeySpace:
     def sample(self, rng: np.random.Generator) -> SubstitutionKey:
         return SubstitutionKey(self.sample_mappings(rng, 1)[0])
 
-    def sample_mappings(self, rng: np.random.Generator, n: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """(n, G) mappings of n uniform keys, drawn as one block.
+    def sample_mappings(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """(n, G) int64 mappings of n uniform keys, drawn as one block.
 
         Row i is the key that the i-th of n single draws would give:
         rng.permutation(G) for substitution, a rotation by rng.integers(G)
         for shift. The generator ends where those n draws leave it, so one
-        block of n and n blocks of one draw the same keys. The keys are
-        written into out when it is given, an (n, G) array of any integer
-        dtype that holds G - 1 (such as rows of a caller's key block), and
-        into a new int64 array otherwise; the draws are the same.
+        block of n and n blocks of one draw the same keys.
         """
         g = self.alphabet.size
         letters = np.arange(g, dtype=np.int64)
-        if out is None:
-            out = np.empty((n, g), dtype=np.int64)
         if self.kind == SUBSTITUTION:
+            out = np.empty((n, g), dtype=np.int64)
             out[...] = letters
             return rng.permuted(out, axis=1, out=out)
-        out[...] = (letters + rng.integers(g, size=(n, 1))) % g
-        return out
+        return (letters + rng.integers(g, size=(n, 1))) % g
 
     def orbit_summary(self, messages: np.ndarray) -> tuple[np.ndarray, ...]:
         """Orbit classes of the (M, N) message rows: (index, n_o, stab,

@@ -51,12 +51,6 @@ from .spurious import (
 
 CORPUS_DIR_ENV = "UNICITY_CORPUS_DIR"
 
-# `spurious --mode monte-carlo` scores its constructions in blocks: as many
-# whole constructions as fit in these many key rows and language codes,
-# and at least one. Reports do not depend on the block size.
-_MC_BLOCK_ROWS = 4096
-_MC_BLOCK_CODES = 1 << 17
-
 # Every parameter: (type, accepted values, test, help). Values are checked
 # once flags and --config are merged: an integer parameter takes integers
 # only (not floats or bools), a float parameter any finite number, a
@@ -367,25 +361,16 @@ def cmd_spurious(cfg: dict) -> str:
 
     rows = []
     for n in _parse_lengths(cfg["length"]):
-        per_seed = np.empty(constructions, dtype=np.float64)
+        first = build(n, 0)  # every language of this length has its size, so its D
+        toys = (build(n, s) if s else first for s in range(constructions))
         if cfg["mode"] == "exhaustive":
-            for s in range(constructions):
-                toy = build(n, s)
-                per_seed[s] = exhaustive_spurious_counts(space, toy).mean()
+            per_seed = np.array([exhaustive_spurious_counts(space, toy).mean() for toy in toys])
         else:
-            s = 0
-            while s < constructions:
-                toy = build(n, s)  # every language of this length has its size
-                block = min(_MC_BLOCK_ROWS // (trials * keys_per_trial),
-                            _MC_BLOCK_CODES // toy.size)
-                stop = min(constructions, s + max(1, block))
-                per_seed[s:stop], _ = monte_carlo_spurious(
-                    space, [toy] + [build(n, u) for u in range(s + 1, stop)],
-                    [_derived_seed(seed, n, u, 1) for u in range(s, stop)], trials,
-                    keys_per_trial=keys_per_trial,
-                )
-                s = stop
-        d = r0 - toy.rate
+            per_seed, _ = monte_carlo_spurious(
+                space, zip(toys, (_derived_seed(seed, n, s, 1) for s in range(constructions))),
+                trials, keys_per_trial=keys_per_trial,
+            )
+        d = r0 - first.rate
         expected = expected_spurious_keys(h_k, d, n)
         mean, se = mean_and_se(per_seed)
         rows.append({

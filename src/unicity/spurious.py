@@ -13,16 +13,19 @@ Exact counts for a toy language come from the orbit classes of the key
 group (`KeySpace.orbit_summary`), without enumerating keys, and are
 exact Python integers at every G. A seeded Monte Carlo estimate, which
 samples wrong keys, is kept beside them as an independent check. It
-takes a block of constructions at once: its trials only draw, one pass
-scores every sampled key of the block, and only the sampled messages
-are decoded. The CLI's `unicity` command tabulates the estimate and the
-bound over a range of lengths, and its `spurious` command sets the
-estimate beside the counts.
+takes one length's constructions as a lazy stream and scores their
+trials in blocks of whole trials, so its memory stays bounded however
+many trials it runs: a block's trials only draw, one pass scores every
+sampled key of the block, and only the sampled messages are decoded.
+The CLI's `unicity` command tabulates the estimate and the bound over
+a range of lengths, and its `spurious` command sets the estimate beside
+the counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +35,12 @@ from .cipher import KeySpace
 from .lang import Alphabet, absolute_rate, decode_codes
 
 _MAX_CODE_BITS = 62
+
+# monte_carlo_spurious scores blocks of whole trials: at most this many
+# candidate keys (and at least one trial), whose languages hold at most
+# this many codes (or one language). No estimate depends on the blocking.
+_MC_BLOCK_ROWS = 4096
+_MC_BLOCK_CODES = 1 << 17
 
 
 def unicity_distance(key_entropy_bits: float, redundancy_bits: float) -> float:
@@ -116,12 +125,6 @@ class ToyLanguage:
         out.flags.writeable = False
         return out
 
-    def contains_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorized membership test on base-G message codes."""
-        pos = np.searchsorted(self.codes, codes)
-        pos = np.clip(pos, 0, self.codes.size - 1)
-        return self.codes[pos] == codes
-
 
 def build_toy_language(
     alphabet: Alphabet, length: int, rate_target: float, seed: int
@@ -199,73 +202,88 @@ def mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def monte_carlo_spurious(
     space: KeySpace,
-    languages: list[ToyLanguage],
-    seeds: list[int],
+    constructions: Iterable[tuple[ToyLanguage, int]],
     trials: int,
     keys_per_trial: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampling stand-in for exhaustive counting: the mean and standard
-    error of the estimates for each construction (language and seed) of
-    a block, as two float64 arrays. The languages share one length.
+    error of the estimates for each (language, seed) construction of an
+    iterable read once, as two float64 arrays. The languages share one
+    length.
 
     Trial t of a construction draws from default_rng((seed, t)) the index
     of a member message, a true key and its keys_per_trial candidate
-    keys. The keys go into one key block for the whole call, of the
-    smallest unsigned dtype that holds G - 1. A trial whose rows hold its
-    true key drops them and draws as many keys again from its own
-    generator until none is left, so it keeps the first keys_per_trial
-    wrong keys in draw order, as one draw at a time with redraws would.
-    One pass then scores the block: only the sampled messages are
-    decoded, each wrong key decrypts its trial's ciphertext by finding
-    each ciphertext letter in the key row, and the decryptions are looked
-    up in their own language. The fraction of a trial's wrong keys that
-    decrypt to a member is scaled up to the key_count - 1 wrong keys. A
-    construction's estimate depends only on its language and seed, not on
-    the other constructions of the block.
+    keys. Trials are scored in blocks of whole trials (_MC_BLOCK_ROWS),
+    each drawing its keys as int64 into one key block of the smallest
+    unsigned dtype that holds G - 1. A trial whose rows hold its true key
+    drops them and draws as many keys again from its own generator until
+    none is left, so it keeps the first keys_per_trial wrong keys in draw
+    order, as one draw at a time with redraws would. One pass then scores
+    the block: only the sampled messages are decoded, each wrong key
+    decrypts its trial's ciphertext by finding each ciphertext letter in
+    the key row, and the decryptions are looked up in their own language.
+    The fraction of a trial's wrong keys that decrypt to a member is
+    scaled up to the key_count - 1 wrong keys. A construction's estimate
+    depends only on its language and seed, not on the blocking.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if keys_per_trial < 1:
         raise ValueError("keys_per_trial must be >= 1")
-    if len(seeds) != len(languages):
-        raise ValueError(f"{len(languages)} languages but {len(seeds)} seeds")
-    if not languages:
-        raise ValueError("a block needs at least one construction")
-    length = languages[0].length
-    if any(language.length != length for language in languages):
-        raise ValueError("the languages of a block must share one message length")
     g = space.alphabet.size
     wrong_total = space.key_count - 1
-    if wrong_total == 0:  # a one-key space has no wrong key to sample
-        return mean_and_se(np.zeros((len(seeds), trials)))
-    runs = len(languages) * trials
     dtype = np.min_scalar_type(g - 1)
-    # row 0 of each trial is its true key, drawn right before its candidates
-    block = np.empty((runs, 1 + keys_per_trial, g), dtype=dtype)
-    plain_codes = np.empty(runs, dtype=np.int64)
-    rngs = []
-    for language, seed in zip(languages, seeds):
-        for t in range(trials):
-            rng = np.random.default_rng((seed, t))
-            plain_codes[len(rngs)] = language.codes[rng.integers(language.size)]
-            space.sample_mappings(rng, 1 + keys_per_trial, block[len(rngs)])
-            rngs.append(rng)
-    true_keys, keys = block[:, 0], block[:, 1:]
-    rows = block.view(np.dtype((np.void, block.strides[1])))[..., 0]  # each key row as one value
-    is_true = rows[:, 1:] == rows[:, :1]
-    for r in np.flatnonzero(is_true.any(axis=1)):
-        wrong = keys[r][~is_true[r]]
-        while short := keys_per_trial - len(wrong):
-            drawn = space.sample_mappings(rngs[r], short)
-            wrong = np.concatenate([wrong, drawn[(drawn != true_keys[r]).any(axis=1)]])
-        keys[r] = wrong
-    ciphertext = np.take_along_axis(true_keys, decode_codes(plain_codes, g, length), axis=1)
     letters = np.arange(g, dtype=dtype)
-    codes = np.zeros((runs, keys_per_trial), dtype=np.int64)
-    for j in range(length):
-        # plaintext letter j of a decryption: where its key row holds ciphertext letter j
-        codes = codes * g + (keys == ciphertext[:, j, None, None]) @ letters
-    codes = codes.reshape(len(languages), trials * keys_per_trial)
-    member = np.stack([language.contains_codes(c) for language, c in zip(languages, codes)])
-    accepted = np.count_nonzero(member.reshape(len(languages), trials, keys_per_trial), axis=2)
-    return mean_and_se(wrong_total * (accepted / keys_per_trial))
+
+    def score(runs, n):
+        """Accepted wrong keys of each of the n trials of a block of
+        (language, seed, first trial, stop) runs."""
+        if wrong_total == 0:  # a one-key space has no wrong key to sample
+            return [np.zeros(n, dtype=np.int64)]
+        draws = [(language, np.random.default_rng((seed, t)))
+                 for language, seed, first, stop in runs for t in range(first, stop)]
+        plain_codes = np.array([language.codes[rng.integers(language.size)]
+                                for language, rng in draws], dtype=np.int64)
+        # row 0 of each trial is its true key, drawn right before its candidates
+        block = np.empty((n, 1 + keys_per_trial, g), dtype=dtype)
+        for i, (_, rng) in enumerate(draws):
+            block[i] = space.sample_mappings(rng, 1 + keys_per_trial)
+        true_keys, keys = block[:, 0], block[:, 1:]
+        rows = block.view(np.dtype((np.void, block.strides[1])))[..., 0]  # each key row as one value
+        is_true = rows[:, 1:] == rows[:, :1]
+        for r in np.flatnonzero(is_true.any(axis=1)):
+            wrong = keys[r][~is_true[r]]
+            while short := keys_per_trial - len(wrong):
+                drawn = space.sample_mappings(draws[r][1], short)
+                wrong = np.concatenate([wrong, drawn[(drawn != true_keys[r]).any(axis=1)]])
+            keys[r] = wrong
+        ciphertext = np.take_along_axis(true_keys, decode_codes(plain_codes, g, length), axis=1)
+        codes = np.zeros((n, keys_per_trial), dtype=np.int64)
+        for j in range(length):
+            # plaintext letter j of a decryption: where its key row holds ciphertext letter j
+            codes = codes * g + (keys == ciphertext[:, j, None, None]) @ letters
+        accepted = []
+        for language, _, first, stop in runs:
+            run, codes = codes[:stop - first], codes[stop - first:]
+            pos = np.minimum(np.searchsorted(language.codes, run), language.size - 1)
+            accepted.append(np.count_nonzero(language.codes[pos] == run, axis=1))
+        return accepted
+
+    per_block = max(1, _MC_BLOCK_ROWS // keys_per_trial)
+    accepted, runs, rows, held, length = [], [], 0, 0, None  # runs: the block being filled
+    for language, seed in constructions:
+        length = length or language.length
+        if language.length != length:
+            raise ValueError("the languages of an estimate must share one message length")
+        first = 0
+        while first < trials:
+            if runs and (rows == per_block or held + language.size > _MC_BLOCK_CODES):
+                accepted += score(runs, rows)
+                runs, rows, held = [], 0, 0
+            stop = min(trials, first + per_block - rows)
+            runs.append((language, seed, first, stop))
+            rows, held, first = rows + stop - first, held + language.size, stop
+    if not runs:
+        raise ValueError("an estimate needs at least one construction")
+    counts = np.concatenate(accepted + score(runs, rows)).reshape(-1, trials)
+    return mean_and_se(wrong_total * (counts / keys_per_trial))

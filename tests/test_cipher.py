@@ -173,24 +173,6 @@ class TestSampling:
                 assert np.array_equal(row, space.sample(ref).mapping)
             assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("kind", [SUBSTITUTION, SHIFT])
-    @pytest.mark.parametrize("g", [2, 26, 300])
-    def test_block_drawn_into_small_dtype(self, kind, g):
-        """Keys drawn into rows of a caller's block of the smallest
-        unsigned dtype holding G - 1 equal the int64 keys and leave the
-        generator in the same state."""
-        space = KeySpace(kind, Alphabet(tuple(chr(0x100 + i) for i in range(g))))
-        dtype = np.min_scalar_type(g - 1)
-        assert dtype == (np.uint8 if g <= 256 else np.uint16)
-        for seed in range(20):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            block = np.full((9, g), 255, dtype=dtype)
-            got = space.sample_mappings(rng, 7, block[1:8])
-            assert got.dtype == dtype and np.shares_memory(got, block)
-            assert np.array_equal(block[1:8], space.sample_mappings(ref, 7))
-            assert (block[0] == 255).all() and (block[8] == 255).all()
-            assert rng.bit_generator.state == ref.bit_generator.state
-
     def test_shift_samples_are_rotations(self, latin):
         space = KeySpace(SHIFT, latin)
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -20,7 +21,7 @@ from unicity import (
     theoretical_mutual_information,
     unicity_distance,
 )
-import unicity.cli
+import unicity.spurious
 from unicity.cli import _derived_seed, main
 from unicity.spurious import mean_and_se
 
@@ -332,15 +333,18 @@ class TestSpurious:
         # 37,641 messages a language: the code budget closes a block at three
         ["--alphabet-size", "4", "--length", "8", "--rate", "1.9", "--constructions", "5",
          "--trials", "2", "--keys-per-trial", "3", "--seed", "2"],
+        # 50 trials of 100 keys a construction: each spans default blocks of 40 trials
+        ["--alphabet-size", "4", "--length", "3", "--constructions", "3", "--seed", "5"],
     ])
     def test_monte_carlo_report_does_not_depend_on_block_size(self, capsys, monkeypatch, argv):
-        """Blocks of one construction, of the default size and of every
-        construction give the same report bytes."""
+        """Blocks of one trial, of the default size, of a few trials and of
+        every construction give the same report bytes."""
         reports = []
-        for rows, codes in [(1, 1), (unicity.cli._MC_BLOCK_ROWS, unicity.cli._MC_BLOCK_CODES),
+        for rows, codes in [(1, 1),
+                            (unicity.spurious._MC_BLOCK_ROWS, unicity.spurious._MC_BLOCK_CODES),
                             (100, 2**40), (2**62, 2**62)]:
-            monkeypatch.setattr(unicity.cli, "_MC_BLOCK_ROWS", rows)
-            monkeypatch.setattr(unicity.cli, "_MC_BLOCK_CODES", codes)
+            monkeypatch.setattr(unicity.spurious, "_MC_BLOCK_ROWS", rows)
+            monkeypatch.setattr(unicity.spurious, "_MC_BLOCK_CODES", codes)
             code, out, _ = run_cli(capsys, "spurious", "--mode", "monte-carlo", *argv)
             assert code == 0
             reports.append(out)
@@ -361,6 +365,28 @@ class TestSpurious:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2**19 * 10 * 8
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "4f78f9faad92c13d97cdb70061a35a67ddfd0f736ea8e326efde69f985807438"),
+        ("csv", "3272f3df10856e613e2f7342cbf4a6a33ef2af0c76a7ff2493f2b35bfc4813f8"),
+    ], ids=["json", "csv"])
+    def test_monte_carlo_memory_is_bounded_by_the_block(self, capsys, fmt, digest):
+        """1,000 trials of 200 keys take a few blocks' memory, not the
+        10 MiB of scoring one construction's trials at once, and give the
+        report bytes that scoring whole constructions gave."""
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                capsys, "spurious", "--mode", "monte-carlo", "--alphabet-size", "26",
+                "--length", "3", "--rate", "1.0", "--constructions", "2", "--trials", "500",
+                "--keys-per-trial", "200", "--seed", "1", "--format", fmt,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv", [
         ["spurious", "--mode", "monte-carlo", "--length", "1", "--trials", "2",

@@ -25,6 +25,7 @@ from unicity import (
     monte_carlo_spurious,
     unicity_distance,
 )
+import unicity.spurious
 from unicity.spurious import mean_and_se
 
 
@@ -161,12 +162,6 @@ class TestToyLanguage:
         assert np.array_equal(a.codes, b.codes)
         assert not np.array_equal(a.codes, c.codes)
 
-    def test_membership(self):
-        toy = build_toy_language(Alphabet.first_n(4), 3, 1.0, seed=4)
-        assert toy.contains_codes(toy.codes).all()
-        outside = np.setdiff1d(np.arange(64), toy.codes)
-        assert not toy.contains_codes(outside).any()
-
     @pytest.mark.parametrize(
         "g, n, want", [(3, 14, 1), (3, 14, 20_000), (2, 23, 5_000), (26, 5, 30_000)]
     )
@@ -256,18 +251,21 @@ class TestMonteCarlo:
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=21)
         exact = exhaustive_spurious_counts(space, toy).mean()
-        (mean,), (se,) = monte_carlo_spurious(space, [toy], [5], 400)
+        (mean,), (se,) = monte_carlo_spurious(space, [(toy, 5)], 400)
         assert se > 0
         assert abs(mean - exact) <= 3 * se
 
-    @pytest.mark.parametrize("kind", [SUBSTITUTION, SHIFT])
-    @pytest.mark.parametrize("g, n, rate", [(2, 3, 1.0), (3, 3, 1.0), (4, 3, 1.5), (6, 4, 2.0)])
+    @pytest.mark.parametrize("g, n, rate, kind", [
+        *[(g, n, rate, kind) for g, n, rate in [(2, 3, 1.0), (3, 3, 1.0), (4, 3, 1.5), (6, 4, 2.0)]
+          for kind in (SUBSTITUTION, SHIFT)],
+        (300, 2, 7.5, SHIFT),  # a uint16 key block; 300! - 1 passes the float range
+    ])
     @pytest.mark.parametrize("keys_per_trial", [1, 2, 50])
     def test_matches_per_candidate_reference(self, kind, g, n, rate, keys_per_trial):
-        ab = Alphabet.first_n(g)
+        ab = Alphabet(tuple(chr(0x100 + i) for i in range(g))) if g > 26 else Alphabet.first_n(g)
         space = KeySpace(kind, ab)
         toy = build_toy_language(ab, n, rate, seed=g)
-        (mean,), (se,) = monte_carlo_spurious(space, [toy], [3], 6, keys_per_trial=keys_per_trial)
+        (mean,), (se,) = monte_carlo_spurious(space, [(toy, 3)], 6, keys_per_trial=keys_per_trial)
         reference = np.array(monte_carlo_estimates(space, toy, 6, 3, keys_per_trial))
         assert mean == reference.mean()
         assert se == reference.std(ddof=1) / math.sqrt(6)
@@ -281,14 +279,15 @@ class TestMonteCarlo:
         space = KeySpace(kind, ab)
         toys = [build_toy_language(ab, 3, 1.2, seed=s) for s in (0, 1, 1, 2)]
         seeds = [7, 7, 8, 9]
-        means, ses = monte_carlo_spurious(space, toys, seeds, trials, keys_per_trial=5)
-        alone = [monte_carlo_spurious(space, [toy], [seed], trials, keys_per_trial=5)
+        means, ses = monte_carlo_spurious(space, zip(toys, seeds), trials, keys_per_trial=5)
+        alone = [monte_carlo_spurious(space, [(toy, seed)], trials, keys_per_trial=5)
                  for toy, seed in zip(toys, seeds)]
         assert means.shape == ses.shape == (4,)
         assert means.dtype == ses.dtype == np.float64
         np.testing.assert_array_equal(means, [mean for (mean,), _ in alone])
         np.testing.assert_array_equal(ses, [se for _, (se,) in alone])
-        reverse, _ = monte_carlo_spurious(space, toys[::-1], seeds[::-1], trials, keys_per_trial=5)
+        reverse, _ = monte_carlo_spurious(space, zip(toys[::-1], seeds[::-1]), trials,
+                                          keys_per_trial=5)
         np.testing.assert_array_equal(reverse, means[::-1])
 
     def test_one_key_space_has_no_spurious_keys(self, monkeypatch):
@@ -304,41 +303,42 @@ class TestMonteCarlo:
         monkeypatch.setattr(KeySpace, "sample_mappings", no_draw)
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         space = KeySpace(SUBSTITUTION, one)
-        means, ses = monte_carlo_spurious(space, [toy, toy], [0, 1], 4)
+        means, ses = monte_carlo_spurious(space, zip([toy, toy], [0, 1]), 4)
         assert means.tolist() == [0.0, 0.0] and ses.tolist() == [0.0, 0.0]
-        (mean,), (se,) = monte_carlo_spurious(space, [toy], [0], 1)
+        (mean,), (se,) = monte_carlo_spurious(space, [(toy, 0)], 1)
         assert mean == 0.0 and math.isnan(se)
 
     def test_single_trial_se_undefined(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=22)
-        _, (se,) = monte_carlo_spurious(space, [toy], [0], 1)
+        _, (se,) = monte_carlo_spurious(space, [(toy, 0)], 1)
         assert math.isnan(se)
 
     def test_deterministic(self):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=23)
-        a = monte_carlo_spurious(space, [toy], [77], 37)
-        b = monte_carlo_spurious(space, [toy], [77], 37)
+        a = monte_carlo_spurious(space, [(toy, 77)], 37)
+        b = monte_carlo_spurious(space, [(toy, 77)], 37)
         np.testing.assert_array_equal(a, b)
 
-    def test_trials_validation(self):
+    def test_trials_validation(self, monkeypatch):
         ab = Alphabet.first_n(4)
         space = KeySpace(SUBSTITUTION, ab)
         toy = build_toy_language(ab, 3, 1.0, seed=1)
         longer = build_toy_language(ab, 4, 1.0, seed=1)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy], [0], 0)
+            monte_carlo_spurious(space, [(toy, 0)], 0)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy], [0], 2, keys_per_trial=0)
+            monte_carlo_spurious(space, [(toy, 0)], 2, keys_per_trial=0)
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy, longer], [0, 1], 2)  # one of two lengths
+            monte_carlo_spurious(space, [(toy, 0), (longer, 1)], 2)  # one of two lengths
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [toy, toy], [0], 2)  # a seed short
+            monte_carlo_spurious(space, [], 2)  # no construction
+        monkeypatch.setattr(unicity.spurious, "_MC_BLOCK_ROWS", 1)  # a block per trial
         with pytest.raises(ValueError):
-            monte_carlo_spurious(space, [], [], 2)  # no construction
+            monte_carlo_spurious(space, [(toy, 0), (longer, 1)], 2)  # two lengths across blocks
 
 
 class TestUnicityReport:
