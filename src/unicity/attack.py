@@ -38,8 +38,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cipher import KeySpace, SubstitutionKey, encrypt
-from .lang import NGramModel, decode_codes, encode_rows
+from .cipher import KeySpace, SubstitutionKey, decrypt, encrypt
+from .lang import NGramModel, check_codes, decode_codes, encode_rows
 
 # proposals drawn per chain and stream in one refill
 _BLOCK = 200
@@ -433,7 +433,7 @@ def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
         plain_acc = None
         if true_key is not None:
             key_acc = float((best_key.mapping == true_key.mapping).mean())
-            truth = true_key.inverse().mapping[ciphertext]
+            truth = decrypt(true_key, ciphertext)
             plain_acc = float((found[ciphertext] == truth).mean())
         results.append(
             AttackResult(
@@ -459,12 +459,9 @@ def mcmc_crack(
 ) -> AttackResult:
     """Run restarts+1 independent Metropolis chains and return the best
     key found. Accuracies are filled in when the true key is supplied."""
-    ciphertext = np.asarray(ciphertext, dtype=np.int64)
-    g = config.model.alphabet.size
+    ciphertext = check_codes(ciphertext, config.model.alphabet.size)
     if ciphertext.size < config.model.order:
         raise ValueError("ciphertext shorter than the scoring model order")
-    if ciphertext.min() < 0 or ciphertext.max() >= g:
-        raise ValueError("ciphertext code outside the model alphabet")
     return _crack_jobs([(ciphertext, config.seed, true_key)], config)[0]
 
 
@@ -499,7 +496,8 @@ def recovery_curve(
         raise ValueError("trials_per_length must be >= 1")
     corpus = np.asarray(corpus, dtype=np.int64)
     if corpus.size < max(lengths):
-        raise ValueError("corpus shorter than the longest requested length")
+        raise ValueError(f"corpus ({corpus.size} letters) shorter than the longest "
+                         f"requested length {max(lengths)}")
     if min(lengths) < config.model.order:
         raise ValueError("length below the scoring model order")
 

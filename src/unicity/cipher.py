@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lang import Alphabet, encode_rows
+from .lang import Alphabet, check_codes, encode_rows
 
 SUBSTITUTION = "substitution"
 SHIFT = "shift"
@@ -62,22 +62,13 @@ class SubstitutionKey:
         return hash(tuple(self.mapping.tolist()))
 
 
-def _check_codes(codes: np.ndarray, g: int) -> np.ndarray:
-    arr = np.asarray(codes, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= g):
-        raise ValueError("symbol code outside key alphabet")
-    return arr
-
-
 def encrypt(key: SubstitutionKey, plaintext: np.ndarray) -> np.ndarray:
     """Position-wise application of the key permutation."""
-    arr = _check_codes(plaintext, key.size)
-    return key.mapping[arr]
+    return key.mapping[check_codes(plaintext, key.size)]
 
 
 def decrypt(key: SubstitutionKey, ciphertext: np.ndarray) -> np.ndarray:
-    arr = _check_codes(ciphertext, key.size)
-    return key.inverse().mapping[arr]
+    return key.inverse().mapping[check_codes(ciphertext, key.size)]
 
 
 @dataclass(frozen=True)
@@ -140,7 +131,7 @@ class KeySpace:
         minus its first letter, mod G, and |Stab| = 1.
         """
         g = self.alphabet.size
-        rows = _check_codes(messages, g)
+        rows = check_codes(messages, g)
         if self.kind == SHIFT:
             pattern = (rows - rows[:, :1]) % g
             distinct = np.full(rows.shape[0], g)  # (G - G)! = 1: only the identity fixes a row
@@ -155,9 +146,3 @@ class KeySpace:
                                        return_inverse=True, return_counts=True)
         stab = np.array([math.factorial(g - k) for k in distinct[rep].tolist()], dtype=object)
         return index, n_o, stab, np.array([math.log2(s) for s in stab.tolist()])
-
-
-def parse_keys(text: str, alphabet: Alphabet) -> list[SubstitutionKey]:
-    """Key file format: one alphabet-image string per line."""
-    return [SubstitutionKey.from_string(line.strip(), alphabet)
-            for line in text.splitlines() if line.strip()]

@@ -47,11 +47,6 @@ class Alphabet:
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     @classmethod
-    def latin(cls) -> "Alphabet":
-        """The 26-letter A-Z alphabet."""
-        return cls(tuple(string.ascii_uppercase))
-
-    @classmethod
     def first_n(cls, n: int) -> "Alphabet":
         """First n uppercase letters (n <= 26)."""
         if not 1 <= n <= 26:
@@ -70,10 +65,16 @@ class Alphabet:
             raise ValueError(f"character {exc.args[0]!r} not in alphabet") from None
 
     def decode(self, codes: np.ndarray) -> str:
-        arr = np.asarray(codes)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.size):
-            raise ValueError("code out of alphabet range")
-        return "".join(self.symbols[int(c)] for c in arr)
+        return "".join(self.symbols[c] for c in check_codes(codes, self.size).tolist())
+
+
+def check_codes(codes: np.ndarray, g: int) -> np.ndarray:
+    """The codes as an int64 array. Raises ValueError when any code
+    is outside 0..g-1, the symbols of a g-letter alphabet."""
+    arr = np.asarray(codes, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= g):
+        raise ValueError(f"symbol code outside the {g}-letter alphabet")
+    return arr
 
 
 def normalize_text(raw: str, alphabet: Alphabet) -> str:
@@ -195,14 +196,12 @@ def fit_ngram(codes: np.ndarray, order: int, alpha: float = 0.5, *,
               alphabet: Alphabet) -> NGramModel:
     """Count every length-`order` window of the corpus exactly once. The
     alphabet is required: the codes index its symbols."""
-    codes = np.asarray(codes, dtype=np.int64)
+    g = alphabet.size
+    codes = check_codes(codes, g)
     if codes.ndim != 1:
         raise ValueError("corpus must be a 1-d code array")
-    g = alphabet.size
     if codes.size < order:
         raise ValueError(f"corpus length {codes.size} shorter than order {order}")
-    if codes.min() < 0 or codes.max() >= g:
-        raise ValueError("corpus code out of alphabet range")
     if g**order > _MAX_TABLE_CELLS:
         raise ValueError(f"count table G**order = {g**order} too large")
     flat = encode_rows(sliding_window_view(codes, order), g)

@@ -18,7 +18,7 @@ settings.load_profile("tier1")
 
 @pytest.fixture(scope="session")
 def latin():
-    return Alphabet.latin()
+    return Alphabet.first_n(26)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ from unicity import (
     decrypt,
     encrypt,
 )
-from unicity.cipher import parse_keys
 
 from brute_force import key_tuples
 
@@ -52,12 +51,18 @@ class TestKeys:
         assert len(image) == 26 and set(image) == set(latin.symbols)
         assert SubstitutionKey.from_string(image, latin) == key
 
-    def test_key_file_round_trip(self, tmp_path, latin):
-        rng = np.random.default_rng(4)
-        keys = [SubstitutionKey(rng.permutation(26)) for _ in range(5)]
-        path = tmp_path / "keys.txt"
-        path.write_text("".join(f"{k.as_string(latin)}\n\n" for k in keys))
-        assert parse_keys(path.read_text(), latin) == keys
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SubstitutionKey(np.arange(4).reshape(2, 2)), "permutation"),
+        (lambda: SubstitutionKey(np.arange(4)).as_string(Alphabet.first_n(5)), "size"),
+    ],
+    ids=["key-2d", "key-string-other-alphabet"],
+)
+def test_validation(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 class TestRoundTrip:

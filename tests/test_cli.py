@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,27 @@ class TestCorpusStats:
         )
         assert code == 0
 
+    def test_lower_case_alphabet_folds_the_corpus_to_lower_case(self, capsys):
+        """A lower-case alphabet reads the same letters as the upper-case one."""
+        rates = []
+        for alphabet in (["--alphabet-size", "26"],
+                         ["--alphabet-symbols", "abcdefghijklmnopqrstuvwxyz"]):
+            code, out, _ = run_cli(capsys, "corpus-stats", "--corpus", str(CORPUS_PATH),
+                                   "--order", "2", *alphabet, "--format", "json")
+            assert code == 0
+            res = json.loads(out)["results"]
+            rates.append([res[k] for k in ("absolute_rate_bits", "entropy_rate_bits",
+                                           "redundancy_bits")])
+        assert rates[0] == rates[1]
+        assert rates[0][2] == 1.146184547133406
+
+    def test_count_table_too_large_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "corpus-stats", "--corpus", str(CORPUS_PATH),
+                                 "--order", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: count table G**order = 308915776 too large\n"
+
 
 class TestUnicity:
     def test_english_substitution(self, capsys):
@@ -142,6 +167,17 @@ class TestUnicity:
         )
         doc = json.loads(out)
         assert abs(doc["results"]["unicity_distance_letters"] - 1.4689) < 1e-3
+
+    def test_one_letter_alphabet_has_no_key_entropy(self, capsys):
+        """At G=1 the one key is the true key: no length has a spurious key."""
+        code, out, _ = run_cli(capsys, "unicity", "--alphabet-size", "1", "--redundancy", "1",
+                               "--n-max", "2", "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert [(row["expected_spurious_log2"], row["expected_spurious_linear"])
+                for row in res["table"]] == [("-unbounded", 0.0)] * 3
+        assert res["unicity_distance_letters"] == 0.0
+        assert res["first_length_below_one"] == 0
 
     def test_zero_redundancy_unbounded(self, capsys):
         code, out, _ = run_cli(
@@ -972,6 +1008,8 @@ MISSING_FILE = "<file: missing>"
          "--iterations", "50", "--alpha", "1e307"],
         ["attack", "--corpus", str(CORPUS_PATH), "--lengths", "30,30", "--trials", "2",
          "--iterations", "300", "--restarts", "1", "--seed", "5"],
+        ["unicity", "--n-min", "5", "--n-max", "2", "--redundancy", "1"],
+        ["unicity", "--n-max", "-1", "--redundancy", "1"],
     ],
     ids=[
         "constructions-0", "n-step-0", "lengths-not-int", "length-not-int",
@@ -989,6 +1027,7 @@ MISSING_FILE = "<file: missing>"
         "config-alpha-past-float-range", "ciphertext-no-symbols", "true-key-file-two-keys",
         "n-max-past-list-size", "alpha-underflows", "alpha-overflows", "unicity-alpha-underflows",
         "crack-alpha-underflows", "curve-alpha-overflows", "attack-lengths-repeated",
+        "unicity-range-empty", "unicity-n-max-negative",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -1005,6 +1044,15 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_version_from_module():
+    """`python -m unicity.cli --version` runs the module's own entry point."""
+    src = Path(sys.modules["unicity"].__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "unicity.cli", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "unicity 0.1.0\n", "")
 
 
 def test_help_unchanged_by_runs(capsys):

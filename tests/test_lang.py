@@ -7,15 +7,24 @@ import numpy as np
 import pytest
 
 from unicity import (
+    SUBSTITUTION,
     Alphabet,
+    AttackConfig,
     EmptyTextError,
+    KeySpace,
     NGramModel,
+    SubstitutionKey,
     absolute_rate,
+    decrypt,
+    encrypt,
     fit_ngram,
+    mcmc_crack,
     normalize_text,
     redundancy,
 )
-from unicity.lang import decode_codes, encode_rows
+from unicity.lang import check_codes, decode_codes, encode_rows
+
+G4 = Alphabet.first_n(4)
 
 
 class TestAlphabet:
@@ -39,6 +48,52 @@ class TestAlphabet:
     def test_encode_rejects_unknown(self, latin):
         with pytest.raises(ValueError):
             latin.encode("abc?")
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Alphabet(("AB",)), "single characters"),
+        (lambda: Alphabet((1,)), "single characters"),
+        (lambda: Alphabet.first_n(0), "1..26"),
+        (lambda: Alphabet.first_n(27), "1..26"),
+        (lambda: NGramModel(G4, 0, 0.5, np.ones((1, 4), dtype=np.int64), 0), "order"),
+        (lambda: NGramModel(G4, 1, 0.0, np.ones((1, 4), dtype=np.int64), 0), "alpha"),
+        (lambda: NGramModel(G4, 2, 0.5, np.ones((1, 4), dtype=np.int64), 0), "shape"),
+        (lambda: NGramModel(G4, 1, 0.5, -np.ones((1, 4), dtype=np.int64), 0), "nonnegative"),
+        (lambda: fit_ngram(np.zeros((2, 2)), 1, alphabet=G4), "1-d"),
+    ],
+    ids=["alphabet-two-chars", "alphabet-not-str", "first-n-0", "first-n-27", "model-order-0",
+         "model-alpha-0", "model-counts-shape", "model-counts-negative", "fit-2d"],
+)
+def test_validation(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+class TestCheckCodes:
+    def test_returns_int64_codes(self):
+        for codes in ([0, 3, 1], np.array([2, 0], dtype=np.uint8), []):
+            arr = check_codes(codes, 4)
+            assert arr.dtype == np.int64 and arr.tolist() == list(np.asarray(codes))
+
+    # every entry point that takes symbol codes, called on the codes
+    ENTRY_POINTS = {
+        "Alphabet.decode": G4.decode,
+        "encrypt": lambda codes: encrypt(SubstitutionKey(np.arange(4)), codes),
+        "decrypt": lambda codes: decrypt(SubstitutionKey(np.arange(4)), codes),
+        "KeySpace.orbit_summary": lambda codes: KeySpace(SUBSTITUTION, G4).orbit_summary(
+            codes[None, :]),
+        "fit_ngram": lambda codes: fit_ngram(codes, 2, alphabet=G4),
+        "mcmc_crack": lambda codes: mcmc_crack(codes, AttackConfig(
+            model=fit_ngram(np.arange(8) % 4, 2, alphabet=G4), iterations=1)),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_points_refuse_codes_outside_the_alphabet(self, entry, bad):
+        with pytest.raises(ValueError, match="outside the 4-letter alphabet"):
+            self.ENTRY_POINTS[entry](np.array([0, 1, bad, 3]))
 
 
 class TestNormalize:

@@ -109,6 +109,25 @@ class TestExpectedSpurious:
             expected_spurious_keys(1.0, 1.0, -1)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: ToyLanguage(Alphabet.first_n(4), 2, np.array([], dtype=np.int64)),
+         "at least one message"),
+        (lambda: ToyLanguage(Alphabet.first_n(4), 2, np.zeros((2, 2))), "at least one message"),
+        (lambda: ToyLanguage(Alphabet.first_n(4), 2, np.array([3, 5, 3])), "distinct"),
+        (lambda: build_toy_language(Alphabet.first_n(4), 0, 1.0, 0), "length"),
+        (lambda: build_toy_language(Alphabet.first_n(4), 2, -1.0, 0), "rate"),
+        (lambda: build_toy_language(Alphabet.first_n(26), 14, 1.0, 0), "64-bit"),
+    ],
+    ids=["toy-empty", "toy-2d", "toy-repeated", "build-length-0", "build-rate-negative",
+         "build-space-past-int64"],
+)
+def test_validation(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestToyLanguage:
     def test_g4_n3_r1(self):
         toy = build_toy_language(Alphabet.first_n(4), 3, 1.0, seed=0)
