@@ -7,6 +7,7 @@ from .lang import (
     EmptyTextError,
     NGramModel,
     RedundancyEstimate,
+    UsageError,
     absolute_rate,
     fit_ngram,
     normalize_text,
@@ -56,6 +57,7 @@ __all__ = [
     "SpuriousExpectation",
     "SubstitutionKey",
     "ToyLanguage",
+    "UsageError",
     "absolute_rate",
     "build_toy_language",
     "decrypt",

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cipher import KeySpace, SubstitutionKey, decrypt, encrypt
-from .lang import NGramModel, check_codes, decode_codes, encode_rows
+from .lang import NGramModel, UsageError, check_codes, decode_codes, encode_rows
 
 # proposals drawn per chain and stream in one refill
 _BLOCK = 200
@@ -61,17 +61,17 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.model.order < 2:
-            raise ValueError("attack model must have order >= 2")
+            raise UsageError(f"attack scoring needs order >= 2, got {self.model.order}")
         if self.model.alphabet.size < 2:
-            raise ValueError("attack needs at least 2 letters to propose transpositions")
+            raise UsageError("attack needs at least 2 letters to propose transpositions")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise UsageError(f"iterations must be >= 1, got {self.iterations}")
         if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
+            raise UsageError(f"restarts must be nonnegative, got {self.restarts}")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise UsageError(f"temperature must be positive, got {self.temperature}")
         if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
+            raise UsageError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,17 +489,18 @@ def recovery_curve(
     per length, in the order given, each in trial order."""
     lengths = list(lengths)
     if not lengths:
-        raise ValueError("lengths must be nonempty")
+        raise UsageError("lengths must be nonempty")
     if len(set(lengths)) < len(lengths):
-        raise ValueError("lengths must be distinct")
+        raise UsageError(f"lengths must be distinct, got {lengths}")
     if trials_per_length < 1:
-        raise ValueError("trials_per_length must be >= 1")
+        raise UsageError(f"trials_per_length must be >= 1, got {trials_per_length}")
+    if min(lengths) < config.model.order:
+        raise UsageError(f"lengths must be at least the model order {config.model.order}, "
+                         f"got {min(lengths)}")
     corpus = np.asarray(corpus, dtype=np.int64)
     if corpus.size < max(lengths):
         raise ValueError(f"corpus ({corpus.size} letters) shorter than the longest "
                          f"requested length {max(lengths)}")
-    if min(lengths) < config.model.order:
-        raise ValueError("length below the scoring model order")
 
     jobs = [
         _trial_job(corpus, space, config.seed, n, i)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lang import Alphabet, check_codes, encode_rows
+from .lang import Alphabet, UsageError, check_codes, encode_rows
 
 SUBSTITUTION = "substitution"
 SHIFT = "shift"
@@ -51,15 +51,14 @@ class SubstitutionKey:
 
     @classmethod
     def from_string(cls, image: str, alphabet: Alphabet) -> "SubstitutionKey":
+        if len(image) != alphabet.size:
+            raise UsageError(f"key has {len(image)} letters but the alphabet has {alphabet.size}")
         return cls(alphabet.encode(image))
 
     def __eq__(self, other):
         if not isinstance(other, SubstitutionKey):
             return NotImplemented
         return np.array_equal(self.mapping, other.mapping)
-
-    def __hash__(self):
-        return hash(tuple(self.mapping.tolist()))
 
 
 def encrypt(key: SubstitutionKey, plaintext: np.ndarray) -> np.ndarray:

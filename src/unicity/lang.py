@@ -25,7 +25,12 @@ class EmptyTextError(ValueError):
     """Raised when normalization leaves no symbols at all."""
 
 
-class SmoothingError(ValueError):
+class UsageError(ValueError):
+    """An argument a library function refuses; the CLI exits 2 on it,
+    and 1 on any other ValueError."""
+
+
+class SmoothingError(UsageError):
     """Raised when a smoothing alpha leaves some probability at 0."""
 
 
@@ -38,12 +43,12 @@ class Alphabet:
 
     def __post_init__(self):
         if len(self.symbols) < 1:
-            raise ValueError("alphabet needs at least one symbol")
+            raise UsageError("alphabet needs at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be distinct")
+            raise UsageError("alphabet symbols must be distinct")
         for s in self.symbols:
             if not isinstance(s, str) or len(s) != 1:
-                raise ValueError(f"symbols must be single characters, got {s!r}")
+                raise UsageError(f"symbols must be single characters, got {s!r}")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     @classmethod

@@ -10,6 +10,7 @@ from unicity import (
     AttackConfig,
     KeySpace,
     NGramModel,
+    UsageError,
     encrypt,
     mcmc_crack,
     recovery_curve,
@@ -306,3 +307,44 @@ class TestRecoveryCurve:
             recovery_curve([heldout.size + 1], 1, cfg, heldout, space)
         with pytest.raises(ValueError):
             recovery_curve([1], 1, cfg, heldout, space)
+
+
+ORDER_ONE = NGramModel(Alphabet.first_n(26), 1, 0.5, np.ones((1, 26), dtype=np.int64), 0)
+ONE_LETTER = NGramModel(Alphabet.first_n(1), 2, 0.5, np.ones((1, 1), dtype=np.int64), 0)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda m, _: AttackConfig(model=ORDER_ONE), "order >= 2, got 1"),
+        (lambda m, _: AttackConfig(model=ONE_LETTER), "2 letters"),
+        (lambda m, _: AttackConfig(model=m, iterations=0), "iterations must be >= 1, got 0"),
+        (lambda m, _: AttackConfig(model=m, restarts=-1), "restarts must be nonnegative, got -1"),
+        (lambda m, _: AttackConfig(model=m, temperature=0.0), "positive, got 0.0"),
+        (lambda m, _: AttackConfig(model=m, checkpoint_interval=0), "interval must be >= 1"),
+        (lambda m, c: recovery_curve([], 1, AttackConfig(model=m), c, None), "nonempty"),
+        (lambda m, c: recovery_curve([30, 30], 1, AttackConfig(model=m), c, None),
+         r"distinct, got \[30, 30\]"),
+        (lambda m, c: recovery_curve([30], 0, AttackConfig(model=m), c, None), "got 0"),
+        (lambda m, c: recovery_curve([1, 99999], 1, AttackConfig(model=m), c, None),
+         "at least the model order 2, got 1"),
+    ],
+    ids=["config-order-1", "config-one-letter", "config-iterations-0", "config-restarts-negative",
+         "config-temperature-0", "config-interval-0", "curve-no-lengths",
+         "curve-repeated-length", "curve-trials-0", "curve-below-order-and-too-long"],
+)
+def test_usage_errors(bigram_model, english_split, build, match):
+    """Each refused argument raises UsageError, a ValueError, and a
+    length below the order is refused before the corpus is measured."""
+    with pytest.raises(UsageError, match=match) as info:
+        build(bigram_model, english_split[1])
+    assert isinstance(info.value, ValueError)
+
+
+def test_corpus_too_short_is_not_a_usage_error(bigram_model, english_split, space):
+    """A held-out corpus too short for the lengths makes the run
+    infeasible: a plain ValueError, not a UsageError."""
+    _, heldout = english_split
+    with pytest.raises(ValueError, match="shorter") as info:
+        recovery_curve([heldout.size + 1], 1, AttackConfig(model=bigram_model), heldout, space)
+    assert not isinstance(info.value, UsageError)

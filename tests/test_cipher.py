@@ -10,6 +10,7 @@ from unicity import (
     Alphabet,
     KeySpace,
     SubstitutionKey,
+    UsageError,
     decrypt,
     encrypt,
 )
@@ -51,6 +52,9 @@ class TestKeys:
         assert len(image) == 26 and set(image) == set(latin.symbols)
         assert SubstitutionKey.from_string(image, latin) == key
 
+    def test_not_equal_to_a_non_key(self):
+        assert (SubstitutionKey(np.arange(3)) == "ABC") is False
+
 
 @pytest.mark.parametrize(
     "build, match",
@@ -63,6 +67,15 @@ class TestKeys:
 def test_validation(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize("image", ["ABCDEFGHIJKLMNOPQRSTUVWXY", "ABC",
+                                   "ABCDEFGHIJKLMNOPQRSTUVWXYZA"])
+def test_key_string_of_another_length_is_a_usage_error(latin, image):
+    """from_string refuses an image that is not one letter per alphabet
+    symbol, as as_string refuses an alphabet of another size."""
+    with pytest.raises(UsageError, match=f"key has {len(image)} letters but the alphabet has 26"):
+        SubstitutionKey.from_string(image, latin)
 
 
 class TestRoundTrip:

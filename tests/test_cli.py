@@ -831,6 +831,14 @@ class TestAttack:
         assert code == 1
         assert "shorter" in err
 
+    def test_length_below_order_exit_2_before_corpus_length(self, capsys):
+        """A length below the order is a usage error even when another
+        length is longer than the held-out corpus."""
+        code, out, err = run_cli(capsys, "attack", "--corpus", str(CORPUS_PATH),
+                                 "--lengths", "1,99999", "--trials", "1", "--seed", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: lengths must be at least the model order 2, got 1\n"
+
     def test_crack_too_large_to_allocate_exit_1(self, capsys):
         """A score trace of about 4 EiB: the allocator refuses it at once."""
         code, out, err = run_cli(

@@ -14,6 +14,7 @@ from unicity import (
     KeySpace,
     NGramModel,
     SubstitutionKey,
+    UsageError,
     absolute_rate,
     decrypt,
     encrypt,
@@ -69,6 +70,30 @@ class TestAlphabet:
 def test_validation(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Alphabet(()), "at least one symbol"),
+        (lambda: Alphabet(("A", "A")), "distinct"),
+        (lambda: Alphabet(("AB",)), "single characters"),
+        (lambda: NGramModel(G4, 1, 1e-320, np.array([[10**6, 0, 0, 0]]), 10**6), "rounds"),
+    ],
+    ids=["alphabet-empty", "alphabet-repeated", "alphabet-two-chars", "alpha-underflows"],
+)
+def test_usage_errors(build, match):
+    """The checks of an argument the caller chose raise UsageError, a
+    ValueError; a smoothing alpha that underflows is one."""
+    assert issubclass(UsageError, ValueError)
+    with pytest.raises(UsageError, match=match):
+        build()
+
+
+def test_entropy_rate_needs_observed_windows():
+    model = NGramModel(G4, 1, 0.5, np.zeros((1, 4), dtype=np.int64), 0)
+    with pytest.raises(ValueError, match="no observed windows"):
+        model.entropy_rate()
 
 
 class TestCheckCodes:

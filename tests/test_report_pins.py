@@ -111,7 +111,7 @@ HELP_DIGESTS = {
     "unicity unicity": "b3259899130f4958177c18cae26d814536d20035c90d083d175aeb70253c4587",
     "unicity spurious": "76a06448d49e584e5c1d3ada3c04d4444d941c83dfbde9b2d802ac43f70ff6ce",
     "unicity channel": "1d800d1707484e0b08794150ba215826d23912db2a8f9b8b26c2862b4bc399bc",
-    "unicity attack": "5d04c0c33534116e1d90be6b471f153c5cf68c01b2b05bd734c514d04db0a281",
+    "unicity attack": "1f145423ae4a2cc0d89bff506b0001e10b845f50ed0fcc12b6ba1c94d23ba715",
 }
 
 
