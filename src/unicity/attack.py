@@ -117,8 +117,15 @@ def _score_bits(wins, wcounts, nll_flat, g, inv) -> float:
 
 
 @dataclass(frozen=True)
-class _Scoring:
-    """Delta-scoring tables of a batch of chains.
+class _Batch:
+    """A batch of Metropolis chains: their state and delta-scoring tables.
+
+    Row c of code, inv, score, best_inv, best_score and accepted is
+    chain c: code indexes the cost of each window of its decrypted
+    ciphertext, inv is its ciphertext->plaintext mapping, score the
+    fixed-point cost of inv, best_inv/best_score the best mapping seen,
+    and accepted the number of proposals it accepted. code is
+    C-contiguous, as mcmc_sweep updates it through a flat view.
 
     Row row[c] + a of lists belongs to cipher letter a in chain c's
     ciphertext. Its three planes list the windows that hold a, the sum
@@ -128,6 +135,12 @@ class _Scoring:
     counts in units of unit[c] bits, and its codes are offset into the
     block of cost that holds the model's costs in those units."""
 
+    code: np.ndarray  # (C, code width) int64
+    inv: np.ndarray  # (C, g) int64
+    score: np.ndarray  # (C,) int64
+    best_inv: np.ndarray
+    best_score: np.ndarray
+    accepted: np.ndarray  # (C,) int64
     lists: np.ndarray  # (3, ciphertexts * g, M) int64
     row: np.ndarray  # (C,)
     cost: np.ndarray  # (scales * g**order,) int64
@@ -147,11 +160,10 @@ def _letter_windows(wins: np.ndarray, g: int):
 
 
 def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_job: int = 1):
-    """Scoring tables and start state of a batch in which chains
-    i * per_job to i * per_job + per_job - 1 walk over the ciphertext
-    windows windows[i], a (wins, wcounts) pair, chain c from mapping
-    inv0[c]. Returns (the cost index of each window of each chain's
-    decryption, fixed-point scores, scoring tables)."""
+    """The batch in which chains i * per_job to i * per_job + per_job - 1
+    walk over the ciphertext windows windows[i], a (wins, wcounts) pair,
+    chain c from mapping inv0[c], at its start: each chain's best is its
+    start, and no state array shares memory with another or with inv0."""
     job = np.arange(len(windows)).repeat(per_job)
     width = 1 + max(wins.shape[0] for wins, _ in windows)  # the last column pads
     held = [_letter_windows(wins, g) for wins, _ in windows]
@@ -173,24 +185,23 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
         [62 - max_bits - 4 * math.ceil(math.frexp(wc.sum())[1] / 4) for _, wc in windows]
     )
     levels, level = np.unique(ks, return_inverse=True)
-    # mcmc_sweep's widest round scores k steps of every chain, with
-    # C * k <= _BATCH_CHAINS, and at k > 1 works on copies of code rows
-    most = job.size * max(1, _BATCH_CHAINS // job.size)
-    scoring = _Scoring(
-        lists=lists,
-        row=job * g,
-        cost=np.concatenate([np.rint(np.ldexp(nll_flat, k)).astype(np.int64) for k in levels]),
-        unit=np.ldexp(1.0, -ks[job]),
-        room=np.empty(7 * 2 * most * longest, dtype=np.int64),  # 7 arrays of (2, rows, M)
-        copies=np.empty((most if most > job.size else 0) * width, dtype=np.int64),
-    )
+    cost = np.concatenate([np.rint(np.ldexp(nll_flat, k)).astype(np.int64) for k in levels])
     code = np.repeat(level[job, None] * nll_flat.size, width, axis=1)
     score = np.zeros(job.size, dtype=np.int64)
     for c, i in enumerate(job):
         wins, wcounts = windows[i]
         code[c, : wins.shape[0]] += encode_rows(inv0[c][wins], g)
-        score[c] = wcounts.astype(np.int64) @ scoring.cost[code[c, : wins.shape[0]]]
-    return code, score, scoring
+        score[c] = wcounts.astype(np.int64) @ cost[code[c, : wins.shape[0]]]
+    inv = np.array(inv0, dtype=np.int64)
+    # mcmc_sweep's widest round scores k steps of every chain, with
+    # C * k <= _BATCH_CHAINS, and at k > 1 works on copies of code rows
+    most = job.size * max(1, _BATCH_CHAINS // job.size)
+    return _Batch(
+        code, inv, score, inv.copy(), score.copy(), np.zeros(job.size, dtype=np.int64),
+        lists, job * g, cost, np.ldexp(1.0, -ks[job]),
+        np.empty(7 * 2 * most * longest, dtype=np.int64),  # room: 7 arrays of (2, rows, M)
+        np.empty((most if most > job.size else 0) * width, dtype=np.int64),  # copies
+    )
 
 
 class _Round(NamedTuple):
@@ -212,28 +223,28 @@ class _Round(NamedTuple):
     copies: np.ndarray | None  # (C, k, code width) code rows at k > 1
 
 
-def _round(scoring: _Scoring, lead: tuple, code_width: int) -> _Round:
+def _round(batch: _Batch, lead: tuple) -> _Round:
     """The work arrays of a round whose rows have shape lead, made on
     first use as views of the batch's room."""
-    if lead not in scoring.rounds:
-        rows = math.prod(lead)
-        shape = (2, *lead, scoring.lists.shape[2])
+    if lead not in batch.rounds:
+        rows, code_width = math.prod(lead), batch.code.shape[1]
+        shape = (2, *lead, batch.lists.shape[2])
         n = math.prod(shape)
-        picked = scoring.room[: 3 * n].reshape(3, *shape)
-        moves = scoring.room[3 * n : 5 * n].reshape(2, *shape)
+        picked = batch.room[: 3 * n].reshape(3, *shape)
+        moves = batch.room[3 * n : 5 * n].reshape(2, *shape)
         axes = "jk"[: len(lead)]
-        scoring.rounds[lead] = _Round(
+        batch.rounds[lead] = _Round(
             picked, picked[0], tuple(picked[0]), tuple(picked[1]), picked[2], moves,
-            tuple(moves[0]), tuple(moves[1]), scoring.room[5 * n : 7 * n].reshape(2, *shape),
+            tuple(moves[0]), tuple(moves[1]), batch.room[5 * n : 7 * n].reshape(2, *shape),
             np.arange(rows).reshape(*lead, 1) * code_width,
             f"i{axes}l,i{axes}l->{axes}",
-            scoring.copies[: rows * code_width].reshape(*lead, code_width)
+            batch.copies[: rows * code_width].reshape(*lead, code_width)
             if len(lead) > 1 else None,
         )
-    return scoring.rounds[lead]
+    return batch.rounds[lead]
 
 
-def _move_and_score(target, index, shift, work: _Round, scoring: _Scoring):
+def _move_and_score(target, index, shift, work: _Round, batch: _Batch):
     """Score one proposal per row of target, a flat array of code rows,
     given the list rows to index: move letter a's windows (x -> y) in
     place, then letter b's (y -> x) from there. A window holding both
@@ -244,7 +255,7 @@ def _move_and_score(target, index, shift, work: _Round, scoring: _Scoring):
         (after_a, after_b), (before_a, before_b), costs, base, total, _ = work
     # the takes use mode="clip" only because numpy buffers `out` under
     # the default mode; every index is in range
-    scoring.lists.take(index, axis=1, out=picked, mode="clip")
+    batch.lists.take(index, axis=1, out=picked, mode="clip")
     cells += base
     target.take(cell_a, out=before_a, mode="clip")
     np.multiply(places_a, shift, out=after_a)
@@ -253,7 +264,7 @@ def _move_and_score(target, index, shift, work: _Round, scoring: _Scoring):
     target.take(cell_b, out=before_b, mode="clip")
     np.multiply(places_b, shift, out=after_b)
     np.subtract(before_b, after_b, out=after_b)
-    scoring.cost.take(moves, out=costs, mode="clip")
+    batch.cost.take(moves, out=costs, mode="clip")
     gain, lost = costs
     np.subtract(gain, lost, out=gain)
     return np.einsum(total, counts, gain)
@@ -266,27 +277,14 @@ def _move_and_score(target, index, shift, work: _Round, scoring: _Scoring):
 # threshold, and a level one's threshold is -0.0 at any T.
 @np.errstate(over="ignore")
 def mcmc_sweep(
-    code: np.ndarray,
-    inv: np.ndarray,
-    score: np.ndarray,
-    best_inv: np.ndarray,
-    best_score: np.ndarray,
-    pair_a: np.ndarray,
-    pair_b: np.ndarray,
-    log2_u: np.ndarray,
-    scoring: _Scoring,
-    temperature: float,
-) -> np.ndarray:
+    batch: _Batch, pair_a: np.ndarray, pair_b: np.ndarray, log2_u: np.ndarray, temperature: float
+) -> None:
     """Advance a batch of Metropolis chains in lock-step, in place.
 
-    Row c of every array is chain c: code indexes the cost of each
-    window of its decrypted ciphertext, inv is its ciphertext->plaintext
-    mapping, score the fixed-point cost of inv, and best_inv/best_score
-    the best mapping seen. Step j proposes to transpose entries
-    (pair_a[c, j], pair_b[c, j]) of inv; log2_u is log2 of the acceptance
+    Step j of chain c proposes to transpose entries (pair_a[c, j],
+    pair_b[c, j]) of its mapping; log2_u is log2 of the acceptance
     uniform. A step rescores only the windows that hold either cipher
-    letter. code must be C-contiguous, as it is updated through a flat
-    view. Returns the number of proposals each chain accepted.
+    letter. Each chain's accepted proposals are added to its count.
 
     The batch advances in rounds of k steps (see the module docstring).
     k starts at its cap, the largest k with C * k <= _BATCH_CHAINS. It
@@ -294,15 +292,16 @@ def mcmc_sweep(
     halves when some chain accepts the round's first step. A round never
     passes the last step.
     """
-    chains, code_width = code.shape
+    code, inv, score, accepted = batch.code, batch.inv, batch.score, batch.accepted
+    best_inv, best_score = batch.best_inv, batch.best_score
+    chains = code.shape[0]
     steps = pair_a.shape[1]
-    cap = max(1, scoring.copies.size // code.size)  # k of the widest round
+    cap = max(1, batch.copies.size // code.size)  # k of the widest round
     flat = code.reshape(-1)
     rows = np.stack([pair_a, pair_b])  # the list rows of each proposal's letters
-    rows += scoring.row[:, None]
+    rows += batch.row[:, None]
     held = np.arange(chains)
-    single = _round(scoring, (chains,), code_width)
-    accepted = np.zeros(chains, dtype=np.int64)
+    single = _round(batch, (chains,))
     k = cap
     p = 0
     while p < steps:
@@ -311,20 +310,20 @@ def mcmc_sweep(
             now = p
             target = flat  # the rows are the chains themselves
             ahead = held
-            unit = scoring.unit
+            unit = batch.unit
             work = single
         else:
             now = slice(p, p + width)
-            work = _round(scoring, (chains, width), code_width)
+            work = _round(batch, (chains, width))
             work.copies[...] = code[:, None, :]
             target = work.copies.reshape(-1)
             ahead = held[:, None]
-            unit = scoring.unit[:, None]
+            unit = batch.unit[:, None]
         a = pair_a[:, now]
         b = pair_b[:, now]
         x = inv[ahead, a]
         y = inv[ahead, b]
-        delta = _move_and_score(target, rows[:, :, now], (y - x)[..., None], work, scoring)
+        delta = _move_and_score(target, rows[:, :, now], (y - x)[..., None], work, batch)
         accept = (delta < 0) | (log2_u[:, now] < -delta * unit / temperature)
         if width == 1:
             np.copyto(work.after[0], work.before[0], where=~accept[:, None])
@@ -355,7 +354,6 @@ def mcmc_sweep(
         p += first + 1
         if first == 0:
             k = max(k // 2, 1)
-    return accepted
 
 
 def _streams(seed: int, chain: int, g: int, iterations: int):
@@ -385,21 +383,18 @@ def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
 
     job_windows = [_cipher_windows(ct, model.order, g) for ct, _, _ in jobs]
     starts = [_frequency_start(ct, model) for ct, _, _ in jobs]
-    inv = np.repeat(starts, per_job, axis=0)
-    code, score, scoring = _start_chains(job_windows, inv, nll_flat, g, per_job)
-    best_inv = inv.copy()
-    best_score = score.copy()
-    accepts = np.zeros(len(inv), dtype=np.int64)
+    batch = _start_chains(job_windows, np.repeat(starts, per_job, axis=0), nll_flat, g, per_job)
+    chains = len(batch.score)
 
     # reported scores are float rescores of best keys, made when they change
     bits = np.repeat([_score_bits(*w, nll_flat, g, v) for w, v in zip(job_windows, starts)],
                      per_job)
-    trace = np.empty((len(inv), 1 + math.ceil(iters / every)))
+    trace = np.empty((chains, 1 + math.ceil(iters / every)))
     trace[:, 0] = bits
-    recorded = best_score.copy()
+    recorded = batch.best_score.copy()
     streams = [_streams(seed, i, g, iters) for _, seed, _ in jobs for i in range(per_job)]
     # refilled in place: fresh rows at every refill raised peak RSS over repeated runs
-    pair_a, pair_b = np.empty((2, len(inv), min(_BLOCK, iters)), dtype=np.int64)
+    pair_a, pair_b = np.empty((2, chains, min(_BLOCK, iters)), dtype=np.int64)
     log2_u = np.empty(pair_a.shape)
     for start in range(0, iters, _BLOCK):
         size = min(_BLOCK, iters - start)
@@ -413,21 +408,19 @@ def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
         cuts = [*range(start // every * every + every, start + size, every), start + size]
         for lo, hi in zip([start, *cuts], cuts):
             cols = slice(lo - start, hi - start)
-            accepts += mcmc_sweep(
-                code, inv, score, best_inv, best_score, pair_a[:, cols], pair_b[:, cols],
-                log2_u[:, cols], scoring, config.temperature,
-            )
+            mcmc_sweep(batch, pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], config.temperature)
             if hi % every == 0 or hi == iters:
-                for c in np.flatnonzero(best_score != recorded):
-                    bits[c] = _score_bits(*job_windows[c // per_job], nll_flat, g, best_inv[c])
-                recorded[:] = best_score
+                for c in np.flatnonzero(batch.best_score != recorded):
+                    bits[c] = _score_bits(*job_windows[c // per_job], nll_flat, g,
+                                          batch.best_inv[c])
+                recorded[:] = batch.best_score
                 trace[:, math.ceil(hi / every)] = bits
 
     results = []
     for j, (ciphertext, seed, true_key) in enumerate(jobs):
         rows = slice(j * per_job, (j + 1) * per_job)
         winner = int(np.argmin(bits[rows]))
-        found = best_inv[j * per_job + winner]
+        found = batch.best_inv[j * per_job + winner]
         best_key = SubstitutionKey(np.argsort(found))
         key_acc = None
         plain_acc = None
@@ -445,7 +438,7 @@ def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
                 iterations=iters,
                 restarts=config.restarts,
                 seed=seed,
-                acceptance_rates=tuple((accepts[rows] / iters).tolist()),
+                acceptance_rates=tuple((batch.accepted[rows] / iters).tolist()),
                 best_restart=winner,
             )
         )

@@ -22,6 +22,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from unicity import cli
 from unicity.cli import main
 
 from conftest import CORPUS_PATH
@@ -180,3 +181,13 @@ def test_main_keeps_exit_code_contract(invocation):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().strip(), (argv, config)
+
+
+def test_tables_follow_the_cli():
+    """The fuzz draws every subcommand's keys and a value for every
+    parameter, so a parameter added to the CLI cannot miss it."""
+    assert {command: set(keys) for command, (keys, _) in COMMANDS.items()} == {
+        command: set(defaults) for command, (*_, defaults) in cli.COMMANDS.items()
+    }
+    assert COMMON == list(cli.COMMON)
+    assert set(VALUES) | {"mode"} == set(cli.PARAMS)

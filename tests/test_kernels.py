@@ -6,6 +6,9 @@ import pytest
 from unicity import attack
 from unicity.attack import _BLOCK, _score_bits, _start_chains, _streams, mcmc_sweep
 
+# the fields of a batch that hold its chains' state
+STATE = ("code", "inv", "score", "best_inv", "best_score", "accepted")
+
 
 def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
     """Step-by-step reference walker with plain-python accumulation."""
@@ -41,26 +44,18 @@ def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, 
 def run_batch(windows, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
     """Drive mcmc_sweep the way the attack does, one call per checkpoint
     interval. Returns the best mappings, each chain's trace of float
-    rescored best scores, and the final state."""
-    code, score, scoring = _start_chains(windows, inv0, nll_flat, g)
-    inv = inv0.copy()
-    best_inv, best_score = inv.copy(), score.copy()
-    accepted = np.zeros(inv.shape[0], dtype=np.int64)
+    rescored best scores, and the final batch's fields by name."""
+    batch = _start_chains(windows, inv0, nll_flat, g)
 
     def rescore(mappings):
         return [_score_bits(*w, nll_flat, g, v) for w, v in zip(windows, mappings)]
 
-    trace = [rescore(inv)]
+    trace = [rescore(batch.inv)]
     for lo in range(0, pair_a.shape[1], every):
         cols = slice(lo, lo + every)
-        accepted += mcmc_sweep(
-            code, inv, score, best_inv, best_score,
-            pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], scoring, temp,
-        )
-        trace.append(rescore(best_inv))
-    state = {"code": code, "inv": inv, "score": score, "best_score": best_score,
-             "scoring": scoring, "accepted": accepted}
-    return best_inv, np.array(trace).T, state
+        mcmc_sweep(batch, pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], temp)
+        trace.append(rescore(batch.best_inv))
+    return batch.best_inv, np.array(trace).T, vars(batch)
 
 
 def _random_batch(seed, chains=4, g=5, order=2, iters=200):
@@ -152,9 +147,45 @@ class TestMcmcSweep:
             windows, nll_flat, g, *_ = case = _random_batch(7, order=order, iters=600)
             _, _, state = run_batch(*case, 2.0, 100)
             assert state["accepted"].min() > 0
-            code, score, _ = _start_chains(windows, state["inv"], nll_flat, g)
-            assert np.array_equal(state["code"], code)
-            assert np.array_equal(state["score"], score)
+            fresh = _start_chains(windows, state["inv"], nll_flat, g)
+            assert np.array_equal(state["code"], fresh.code)
+            assert np.array_equal(state["score"], fresh.score)
+
+    @pytest.mark.parametrize("temp", [1.0, 10.0])
+    @pytest.mark.parametrize("chains, widest", [(3, 21), (40, 1)])
+    def test_split_sweeps_equal_one_sweep(self, monkeypatch, chains, widest, temp):
+        """Two sweeps over steps [0, 70) and [70, 200) leave a batch as one
+        sweep over [0, 200) does, whether its rounds reach k = 64 // 3 = 21
+        or stay at k = 1: the attack cuts its sweeps at checkpoints and
+        refills, so no result may depend on where the cuts fall. The hot
+        chains often sit above their best at the cut."""
+        windows, nll_flat, g, inv0, pair_a, pair_b, log2_u = _random_batch(
+            5, chains=chains, g=8, iters=200
+        )
+        widths = count_rounds(monkeypatch)
+        whole, split = (_start_chains(windows, inv0, nll_flat, g) for _ in range(2))
+        mcmc_sweep(whole, pair_a, pair_b, log2_u, temp)
+        for cols in (slice(0, 70), slice(70, 200)):
+            mcmc_sweep(split, pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], temp)
+        assert max(widths) == widest
+        assert whole.accepted.min() > 0
+        for name in STATE:
+            assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+
+    def test_start_state_shares_no_memory(self):
+        """Every state array of a new batch, and the caller's start
+        mappings, can be written without changing any of the others."""
+        windows, nll_flat, g, inv0, *_ = _random_batch(2)
+        batch = _start_chains(windows, inv0, nll_flat, g)
+        assert np.array_equal(batch.inv, inv0) and np.array_equal(batch.best_inv, inv0)
+        assert np.array_equal(batch.best_score, batch.score)
+        arrays = {"inv0": inv0, **{name: getattr(batch, name) for name in STATE}}
+        for name, written in arrays.items():
+            before = {other: v.copy() for other, v in arrays.items()}
+            written += 1
+            for other, v in arrays.items():
+                if other != name:
+                    assert np.array_equal(v, before[other]), (name, other)
 
     def test_improving_proposal_always_accepted(self):
         # one window AA; swapping entries 0 and 1 strictly improves the
