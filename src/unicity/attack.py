@@ -32,7 +32,7 @@ its place in the sweep, not on the rest of the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -145,9 +145,8 @@ class _Batch:
     row: np.ndarray  # (C,)
     cost: np.ndarray  # (scales * g**order,) int64
     unit: np.ndarray  # (C,) bits per unit, a power of two
-    room: np.ndarray  # flat room for the work arrays of mcmc_sweep's widest round
-    copies: np.ndarray  # flat room for that round's C * k code rows, empty at k = 1
-    rounds: dict = field(default_factory=dict)  # views of room and copies, by row shape
+    room: np.ndarray  # flat room for the work arrays and code rows of the widest round
+    rounds: tuple  # mcmc_sweep's _Round views of room, for widths k = 1 to its cap
 
 
 def _letter_windows(wins: np.ndarray, g: int):
@@ -194,13 +193,15 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
         score[c] = wcounts.astype(np.int64) @ cost[code[c, : wins.shape[0]]]
     inv = np.array(inv0, dtype=np.int64)
     # mcmc_sweep's widest round scores k steps of every chain, with
-    # C * k <= _BATCH_CHAINS, and at k > 1 works on copies of code rows
-    most = job.size * max(1, _BATCH_CHAINS // job.size)
+    # C * k <= _BATCH_CHAINS: 7 arrays of (2, C * k, M), and at k > 1
+    # copies of the C * k code rows
+    cap = max(1, _BATCH_CHAINS // job.size)
+    room = np.empty(job.size * cap * (14 * longest + (width if cap > 1 else 0)), dtype=np.int64)
+    leads = [(job.size,), *((job.size, k) for k in range(2, cap + 1))]
     return _Batch(
         code, inv, score, inv.copy(), score.copy(), np.zeros(job.size, dtype=np.int64),
         lists, job * g, cost, np.ldexp(1.0, -ks[job]),
-        np.empty(7 * 2 * most * longest, dtype=np.int64),  # room: 7 arrays of (2, rows, M)
-        np.empty((most if most > job.size else 0) * width, dtype=np.int64),  # copies
+        room, tuple(_round(room, lead, longest, width) for lead in leads),
     )
 
 
@@ -223,25 +224,23 @@ class _Round(NamedTuple):
     copies: np.ndarray | None  # (C, k, code width) code rows at k > 1
 
 
-def _round(batch: _Batch, lead: tuple) -> _Round:
-    """The work arrays of a round whose rows have shape lead, made on
-    first use as views of the batch's room."""
-    if lead not in batch.rounds:
-        rows, code_width = math.prod(lead), batch.code.shape[1]
-        shape = (2, *lead, batch.lists.shape[2])
-        n = math.prod(shape)
-        picked = batch.room[: 3 * n].reshape(3, *shape)
-        moves = batch.room[3 * n : 5 * n].reshape(2, *shape)
-        axes = "jk"[: len(lead)]
-        batch.rounds[lead] = _Round(
-            picked, picked[0], tuple(picked[0]), tuple(picked[1]), picked[2], moves,
-            tuple(moves[0]), tuple(moves[1]), batch.room[5 * n : 7 * n].reshape(2, *shape),
-            np.arange(rows).reshape(*lead, 1) * code_width,
-            f"i{axes}l,i{axes}l->{axes}",
-            batch.copies[: rows * code_width].reshape(*lead, code_width)
-            if len(lead) > 1 else None,
-        )
-    return batch.rounds[lead]
+def _round(room: np.ndarray, lead: tuple, m: int, code_width: int) -> _Round:
+    """The work arrays of a round whose rows have shape lead, with
+    letter lists of width m, as views of room."""
+    rows = math.prod(lead)
+    shape = (2, *lead, m)
+    n = math.prod(shape)
+    picked = room[: 3 * n].reshape(3, *shape)
+    moves = room[3 * n : 5 * n].reshape(2, *shape)
+    axes = "jk"[: len(lead)]
+    return _Round(
+        picked, picked[0], tuple(picked[0]), tuple(picked[1]), picked[2], moves,
+        tuple(moves[0]), tuple(moves[1]), room[5 * n : 7 * n].reshape(2, *shape),
+        np.arange(rows).reshape(*lead, 1) * code_width,
+        f"i{axes}l,i{axes}l->{axes}",
+        room[7 * n : 7 * n + rows * code_width].reshape(*lead, code_width)
+        if len(lead) > 1 else None,
+    )
 
 
 def _move_and_score(target, index, shift, work: _Round, batch: _Batch):
@@ -276,13 +275,11 @@ def _move_and_score(target, index, shift, work: _Round, batch: _Batch):
 # delta > 0. A downhill move is accepted by delta < 0 whatever its +inf
 # threshold, and a level one's threshold is -0.0 at any T.
 @np.errstate(over="ignore")
-def mcmc_sweep(
-    batch: _Batch, pair_a: np.ndarray, pair_b: np.ndarray, log2_u: np.ndarray, temperature: float
-) -> None:
+def mcmc_sweep(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature: float) -> None:
     """Advance a batch of Metropolis chains in lock-step, in place.
 
-    Step j of chain c proposes to transpose entries (pair_a[c, j],
-    pair_b[c, j]) of its mapping; log2_u is log2 of the acceptance
+    Step j of chain c proposes to transpose entries (pairs[0, c, j],
+    pairs[1, c, j]) of its mapping; log2_u is log2 of the acceptance
     uniform. A step rescores only the windows that hold either cipher
     letter. Each chain's accepted proposals are added to its count.
 
@@ -294,33 +291,28 @@ def mcmc_sweep(
     """
     code, inv, score, accepted = batch.code, batch.inv, batch.score, batch.accepted
     best_inv, best_score = batch.best_inv, batch.best_score
-    chains = code.shape[0]
-    steps = pair_a.shape[1]
-    cap = max(1, batch.copies.size // code.size)  # k of the widest round
+    steps = pairs.shape[2]
+    cap = len(batch.rounds)  # k of the widest round
     flat = code.reshape(-1)
-    rows = np.stack([pair_a, pair_b])  # the list rows of each proposal's letters
-    rows += batch.row[:, None]
-    held = np.arange(chains)
-    single = _round(batch, (chains,))
+    rows = pairs + batch.row[:, None]  # the list rows of each proposal's letters
+    held = np.arange(code.shape[0])
     k = cap
     p = 0
     while p < steps:
         width = min(k, steps - p)
+        work = batch.rounds[width - 1]
         if width == 1:
             now = p
             target = flat  # the rows are the chains themselves
             ahead = held
             unit = batch.unit
-            work = single
         else:
             now = slice(p, p + width)
-            work = _round(batch, (chains, width))
             work.copies[...] = code[:, None, :]
             target = work.copies.reshape(-1)
             ahead = held[:, None]
             unit = batch.unit[:, None]
-        a = pair_a[:, now]
-        b = pair_b[:, now]
+        a, b = pairs[:, :, now]
         x = inv[ahead, a]
         y = inv[ahead, b]
         delta = _move_and_score(target, rows[:, :, now], (y - x)[..., None], work, batch)
@@ -394,21 +386,21 @@ def _crack_jobs(jobs, config: AttackConfig) -> list[AttackResult]:
     recorded = batch.best_score.copy()
     streams = [_streams(seed, i, g, iters) for _, seed, _ in jobs for i in range(per_job)]
     # refilled in place: fresh rows at every refill raised peak RSS over repeated runs
-    pair_a, pair_b = np.empty((2, chains, min(_BLOCK, iters)), dtype=np.int64)
-    log2_u = np.empty(pair_a.shape)
+    pairs = np.empty((2, chains, min(_BLOCK, iters)), dtype=np.int64)
+    log2_u = np.empty(pairs.shape[1:])
     for start in range(0, iters, _BLOCK):
         size = min(_BLOCK, iters - start)
         for c, (gen_a, gen_b, gen_u) in enumerate(streams):
-            pair_a[c, :size] = gen_a.integers(0, g, size)
-            pair_b[c, :size] = gen_b.integers(0, g - 1, size)
+            pairs[0, c, :size] = gen_a.integers(0, g, size)
+            pairs[1, c, :size] = gen_b.integers(0, g - 1, size)
             gen_u.random(out=log2_u[c, :size])
-        pair_b[:, :size] += pair_b[:, :size] >= pair_a[:, :size]
+        pairs[1, :, :size] += pairs[1, :, :size] >= pairs[0, :, :size]
         np.log2(log2_u[:, :size], out=log2_u[:, :size])
         # sweep to each checkpoint inside the refill, then to its end
         cuts = [*range(start // every * every + every, start + size, every), start + size]
         for lo, hi in zip([start, *cuts], cuts):
             cols = slice(lo - start, hi - start)
-            mcmc_sweep(batch, pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], config.temperature)
+            mcmc_sweep(batch, pairs[:, :, cols], log2_u[:, cols], config.temperature)
             if hi % every == 0 or hi == iters:
                 for c in np.flatnonzero(batch.best_score != recorded):
                     bits[c] = _score_bits(*job_windows[c // per_job], nll_flat, g,

@@ -361,6 +361,8 @@ def cmd_spurious(cfg: dict) -> str:
         d = r0 - first.rate
         expected = expected_spurious_keys(h_k, d, n)
         mean, se = mean_and_se(per_seed)
+        if cfg["mode"] == "monte-carlo" and mean == 0:  # none accepted: rule-of-three bound
+            se = 3 * (space.key_count - 1) / (constructions * trials * keys_per_trial)
         rows.append({
             "N": n,
             "H_K_bits": h_k,

@@ -307,6 +307,21 @@ class TestSpurious:
         _, rows = parse_csv(out)
         assert rows[0]["trials"] == "20"
 
+    def test_monte_carlo_without_accepted_key_reports_rule_of_three(self, capsys):
+        """At G=26, N=10 the spurious fraction is about 3e-9, so none of
+        the 10,000 sampled wrong keys is accepted. The mean reads 0, and
+        its SE field holds the rule-of-three bound 3 * (K - 1) / 10,000
+        instead of a false 0."""
+        code, out, _ = run_cli(
+            capsys, "spurious", "--mode", "monte-carlo", "--alphabet-size", "26",
+            "--length", "10", "--rate", "1.8", "--constructions", "2", "--seed", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)["results"]["rows"]
+        assert row["observed_mean"] == 0.0
+        assert row["observed_se"] == 3 * (math.factorial(26) - 1) / 10_000
+
     def test_monte_carlo_unbiased_with_one_key_per_trial(self, capsys):
         """With 2 keys and 1 candidate per trial, most candidates equal the
         true key. They are redrawn, not scored as zero, so the mean stays
@@ -356,8 +371,11 @@ class TestSpurious:
                 )).mean()
                 for s in range(constructions)
             ])
+            se = float(per_seed.std(ddof=1) / math.sqrt(constructions))
+            if not per_seed.any():  # no sampled key accepted: the rule-of-three bound
+                se = 3 * (space.key_count - 1) / (constructions * trials * keys_per_trial)
             assert row["observed_mean"] == float(per_seed.mean())
-            assert row["observed_se"] == float(per_seed.std(ddof=1) / math.sqrt(constructions))
+            assert row["observed_se"] == se
 
     @pytest.mark.parametrize("argv", [
         ["--alphabet-size", "5", "--length", "2,3", "--rate", "1.2", "--constructions", "40",

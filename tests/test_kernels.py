@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unicity import attack
-from unicity.attack import _BLOCK, _score_bits, _start_chains, _streams, mcmc_sweep
+from unicity.attack import _BATCH_CHAINS, _BLOCK, _score_bits, _start_chains, _streams, mcmc_sweep
 
 # the fields of a batch that hold its chains' state
 STATE = ("code", "inv", "score", "best_inv", "best_score", "accepted")
@@ -41,7 +41,7 @@ def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, 
     return best, best_score, np.array(trace)
 
 
-def run_batch(windows, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
+def run_batch(windows, nll_flat, g, inv0, pairs, log2_u, temp, every):
     """Drive mcmc_sweep the way the attack does, one call per checkpoint
     interval. Returns the best mappings, each chain's trace of float
     rescored best scores, and the final batch's fields by name."""
@@ -51,9 +51,9 @@ def run_batch(windows, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
         return [_score_bits(*w, nll_flat, g, v) for w, v in zip(windows, mappings)]
 
     trace = [rescore(batch.inv)]
-    for lo in range(0, pair_a.shape[1], every):
+    for lo in range(0, pairs.shape[2], every):
         cols = slice(lo, lo + every)
-        mcmc_sweep(batch, pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], temp)
+        mcmc_sweep(batch, pairs[:, :, cols], log2_u[:, cols], temp)
         trace.append(rescore(batch.best_inv))
     return batch.best_inv, np.array(trace).T, vars(batch)
 
@@ -73,9 +73,9 @@ def _random_batch(seed, chains=4, g=5, order=2, iters=200):
     inv0 = np.array([rng.permutation(g) for _ in range(chains)], dtype=np.int64)
     pair_a = rng.integers(0, g, size=(chains, iters))
     raw_b = rng.integers(0, g - 1, size=(chains, iters))
-    pair_b = raw_b + (raw_b >= pair_a)
+    pairs = np.stack([pair_a, raw_b + (raw_b >= pair_a)])
     log2_u = np.log2(rng.random(size=(chains, iters)))
-    return windows, nll_flat, g, inv0, pair_a, pair_b, log2_u
+    return windows, nll_flat, g, inv0, pairs, log2_u
 
 
 def count_rounds(monkeypatch) -> list[int]:
@@ -92,7 +92,7 @@ def count_rounds(monkeypatch) -> list[int]:
 
 
 def _assert_matches_oracle(seed, order, temp=1.0, every=50, **batch):
-    windows, nll_flat, g, inv0, pair_a, pair_b, log2_u = case = _random_batch(
+    windows, nll_flat, g, inv0, (pair_a, pair_b), log2_u = case = _random_batch(
         seed, order=order, **batch
     )
     best, trace, state = run_batch(*case, temp, every)
@@ -159,14 +159,12 @@ class TestMcmcSweep:
         or stay at k = 1: the attack cuts its sweeps at checkpoints and
         refills, so no result may depend on where the cuts fall. The hot
         chains often sit above their best at the cut."""
-        windows, nll_flat, g, inv0, pair_a, pair_b, log2_u = _random_batch(
-            5, chains=chains, g=8, iters=200
-        )
+        windows, nll_flat, g, inv0, pairs, log2_u = _random_batch(5, chains=chains, g=8, iters=200)
         widths = count_rounds(monkeypatch)
         whole, split = (_start_chains(windows, inv0, nll_flat, g) for _ in range(2))
-        mcmc_sweep(whole, pair_a, pair_b, log2_u, temp)
+        mcmc_sweep(whole, pairs, log2_u, temp)
         for cols in (slice(0, 70), slice(70, 200)):
-            mcmc_sweep(split, pair_a[:, cols], pair_b[:, cols], log2_u[:, cols], temp)
+            mcmc_sweep(split, pairs[:, :, cols], log2_u[:, cols], temp)
         assert max(widths) == widest
         assert whole.accepted.min() > 0
         for name in STATE:
@@ -187,6 +185,25 @@ class TestMcmcSweep:
                 if other != name:
                     assert np.array_equal(v, before[other]), (name, other)
 
+    @pytest.mark.parametrize("chains", [1, 6, 33, 64])
+    def test_rounds_are_built_with_the_batch(self, chains):
+        """A batch holds the work views of every round width k = 1 to
+        its cap, the largest k with C * k <= _BATCH_CHAINS, all in its
+        one room, and its sweeps work in those views."""
+        windows, nll_flat, g, inv0, pairs, log2_u = _random_batch(3, chains=chains, iters=300)
+        batch = _start_chains(windows, inv0, nll_flat, g)
+        rounds = batch.rounds
+        assert len(rounds) == max(1, _BATCH_CHAINS // chains)
+        for k, work in enumerate(rounds, 1):
+            assert work.cells.shape[1:-1] == ((chains,) if k == 1 else (chains, k))
+            assert (work.copies is None) == (k == 1)
+            views = [work.picked, work.cells, *work.cell, *work.places, work.counts, work.moves,
+                     *work.after, *work.before, work.costs, *([work.copies] if k > 1 else [])]
+            for view in views:
+                assert np.shares_memory(view, batch.room)
+        mcmc_sweep(batch, pairs, log2_u, 1.0)
+        assert all(now is then for now, then in zip(batch.rounds, rounds, strict=True))
+
     def test_improving_proposal_always_accepted(self):
         # one window AA; swapping entries 0 and 1 strictly improves the
         # score; the acceptance uniform is set impossible (log2 u = +inf)
@@ -194,8 +211,7 @@ class TestMcmcSweep:
         nll_flat = np.array([5.0, 9.0, 9.0, 1.0])  # AA costly, BB cheap
         inv0 = np.array([[0, 1]], dtype=np.int64)
         best, trace, _ = run_batch(
-            windows, nll_flat, 2, inv0, np.array([[0]]), np.array([[1]]),
-            np.array([[math.inf]]), 1.0, 1,
+            windows, nll_flat, 2, inv0, np.array([[[0]], [[1]]]), np.array([[math.inf]]), 1.0, 1,
         )
         assert trace[0, -1] == 1.0  # swap accepted despite impossible uniform
         assert np.array_equal(best[0], [1, 0])
@@ -206,8 +222,8 @@ class TestMcmcSweep:
         inv0 = np.array([[0, 1]], dtype=np.int64)
         # first uniform too high to accept a +4-bit move, second low enough
         best, trace, state = run_batch(
-            windows, nll_flat, 2, inv0, np.array([[0, 0]]), np.array([[1, 1]]),
-            np.array([[-1.0, -8.0]]), 1.0, 1,
+            windows, nll_flat, 2, inv0, np.array([[[0, 0]], [[1, 1]]]), np.array([[-1.0, -8.0]]),
+            1.0, 1,
         )
         # walker wandered uphill on step 2, but best-so-far stays at start
         assert state["accepted"].tolist() == [1]
