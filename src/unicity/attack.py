@@ -10,17 +10,24 @@ a transposition is scored from the few windows it moves (after Jakobsen
 text, not the number of n-grams.
 
 The batch advances in rounds. A round scores the next k proposals of
-every chain from the chains' current states, as C * k rows: at k = 1
-the rows are the chains themselves, scored in place; above, row (c, i)
-is a copy of chain c's code row trying its proposal i. The batch then
-moves to the first step at which any chain accepts, and only the chains
-that accept there take their move. This is the step-at-a-time walk bit
-for bit: no chain moves before that step, so every earlier proposal was
+every chain from the chains' current states. The batch then moves to
+the first step at which any chain accepts, and only the chains that
+accept there take their move. This is the step-at-a-time walk bit for
+bit: no chain moves before that step, so every earlier proposal was
 scored from the state the walk would have had, and rejected. Once the
 chains have settled they reject almost every proposal, and one round
 covers many steps (pre-fetching, after Brockwell 2006).
 
-Runs are deterministic given the seed. Chain c of a crack seeded s draws
+A batch of up to _BATCH_CHAINS // 2 chains looks ahead: its rounds
+score C * k rows, row (c, i) a copy of chain c's code row trying its
+proposal i, from letter window lists padded to the longest. A larger
+batch has no room to look ahead and scores one step per round, in
+place. Its chains' window lists are ragged runs, and a sweep lays out
+the runs its steps score a piece of many steps at a time, as the
+proposals are drawn before the sweep starts, so each step scores only
+real windows.
+
+Results are deterministic given the seed. Chain c of a crack seeded s draws
 its proposals from default_rng((s, c)): every first letter, then every
 second letter, then every acceptance uniform, from three generators
 positioned at the starts of the three streams and refilled _BLOCK at a
@@ -48,6 +55,9 @@ _SKIP = 1 << 16
 # most chains advanced as one batch: a recovery curve runs its trials in
 # groups of whole cracks, so memory does not grow with the trial count
 _BATCH_CHAINS = 64
+# most slots laid out at once by a sweep that scores one step per round,
+# unless a single step needs more
+_PIECE_SLOTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -127,13 +137,22 @@ class _Batch:
     and accepted the number of proposals it accepted. code is
     C-contiguous, as mcmc_sweep updates it through a flat view.
 
-    Row row[c] + a of lists belongs to cipher letter a in chain c's
-    ciphertext. Its three planes list the windows that hold a, the sum
-    of the place values at which each holds it, and how often each
-    occurs; short rows are padded with the last column of the chain's
-    code row, a window of count zero. Costs are fixed point: chain c
-    counts in units of unit[c] bits, and its codes are offset into the
-    block of cost that holds the model's costs in those units."""
+    Run row[c] + a belongs to cipher letter a in chain c's ciphertext,
+    and chains of one ciphertext share their runs. Its slots list the
+    windows that hold a: in three planes, each window's column in the
+    code row, the sum of the place values at which it holds a, and how
+    often it occurs. Every run leads with one slot on the last column,
+    a window of count zero, so no run is empty. Costs are fixed point:
+    chain c counts in units of unit[c] bits, and its codes are offset
+    into the block of cost that holds the model's costs in those units.
+
+    A batch of more than _BATCH_CHAINS // 2 chains scores one step per
+    round. It keeps its runs end to end in store, run r in slots
+    start[r] to start[r] + length[r] - 1, and a sweep lays out the runs
+    its steps score at most budget slots at a time. A smaller batch
+    looks ahead: row r of lists holds run r's windows, padded to the
+    longest with copies of its lead slot, and rounds holds the work
+    views, in one room, of every round width k = 1 to its cap."""
 
     code: np.ndarray  # (C, code width) int64
     inv: np.ndarray  # (C, g) int64
@@ -141,11 +160,14 @@ class _Batch:
     best_inv: np.ndarray
     best_score: np.ndarray
     accepted: np.ndarray  # (C,) int64
-    lists: np.ndarray  # (3, ciphertexts * g, M) int64
     row: np.ndarray  # (C,)
     cost: np.ndarray  # (scales * g**order,) int64
     unit: np.ndarray  # (C,) bits per unit, a power of two
-    room: np.ndarray  # flat room for the work arrays and code rows of the widest round
+    store: np.ndarray | None  # (3, slots) int64, when scoring one step per round
+    start: np.ndarray  # (ciphertexts * g,)
+    length: np.ndarray  # (ciphertexts * g,) slots of each run, its lead included
+    budget: int  # most slots in a piece of a one-step sweep
+    lists: np.ndarray | None  # (3, ciphertexts * g, M) int64, when looking ahead
     rounds: tuple  # mcmc_sweep's _Round views of room, for widths k = 1 to its cap
 
 
@@ -164,16 +186,19 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
     chain c from mapping inv0[c], at its start: each chain's best is its
     start, and no state array shares memory with another or with inv0."""
     job = np.arange(len(windows)).repeat(per_job)
+    chains = job.size
     width = 1 + max(wins.shape[0] for wins, _ in windows)  # the last column pads
-    held = [_letter_windows(wins, g) for wins, _ in windows]
-    longest = max(int(np.bincount(a).max()) for a, _, _ in held)
-    lists = np.zeros((3, len(windows) * g, longest), dtype=np.int64)
-    lists[0] = width - 1
-    for i, ((_, wcounts), (a, w, place)) in enumerate(zip(windows, held)):
-        at = (i * g + a, np.arange(a.size) - np.searchsorted(a, a))
-        lists[(0, *at)] = w
-        lists[(1, *at)] = place
-        lists[(2, *at)] = wcounts[w]
+    runs = []  # each ciphertext's runs, letter by letter: (3, slots) planes and lengths
+    for wins, wcounts in windows:
+        a, w, place = _letter_windows(wins, g)
+        planes = np.zeros((3, g + a.size), dtype=np.int64)
+        planes[0] = width - 1
+        # letter a's windows follow the runs of the letters before it and their leads
+        planes[:, np.arange(a.size) + a + 1] = w, place, wcounts[w]
+        runs.append((planes, np.bincount(a, minlength=g) + 1))
+    store = np.concatenate([planes for planes, _ in runs], axis=1)
+    length = np.concatenate([lengths for _, lengths in runs])
+    start = np.cumsum(length) - length
     # A chain counts in units of 2**-k bits, where k keeps (a bound on
     # its window count) * (largest cost) within 2**62 units. A move sums
     # cost changes over at most twice the windows, so nothing passes
@@ -186,42 +211,52 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
     levels, level = np.unique(ks, return_inverse=True)
     cost = np.concatenate([np.rint(np.ldexp(nll_flat, k)).astype(np.int64) for k in levels])
     code = np.repeat(level[job, None] * nll_flat.size, width, axis=1)
-    score = np.zeros(job.size, dtype=np.int64)
+    score = np.zeros(chains, dtype=np.int64)
     for c, i in enumerate(job):
         wins, wcounts = windows[i]
         code[c, : wins.shape[0]] += encode_rows(inv0[c][wins], g)
         score[c] = wcounts.astype(np.int64) @ cost[code[c, : wins.shape[0]]]
     inv = np.array(inv0, dtype=np.int64)
-    # mcmc_sweep's widest round scores k steps of every chain, with
-    # C * k <= _BATCH_CHAINS: 7 arrays of (2, C * k, M), and at k > 1
-    # copies of the C * k code rows
-    cap = max(1, _BATCH_CHAINS // job.size)
-    room = np.empty(job.size * cap * (14 * longest + (width if cap > 1 else 0)), dtype=np.int64)
-    leads = [(job.size,), *((job.size, k) for k in range(2, cap + 1))]
+    # a step scores one run of each of its two letters in every chain
+    widest = 2 * int(length.reshape(-1, g).max(axis=1)[job].sum())
+    lists, rounds = None, ()
+    cap = _BATCH_CHAINS // chains
+    if cap > 1:
+        longest = int(length.max()) - 1
+        at = np.arange(longest)
+        slots = np.where(at < length[:, None] - 1, start[:, None] + 1 + at, start[:, None])
+        # take, unlike store[:, slots], returns lists C-contiguous, which
+        # each round's take from them needs to keep the crack's pace
+        lists, store = store.take(slots, axis=1), None
+        # the widest round scores k steps of every chain, with C * k <=
+        # _BATCH_CHAINS: 7 arrays of (2, C * k, M) and copies of the C * k
+        # code rows
+        room = np.empty(chains * cap * (14 * longest + width), dtype=np.int64)
+        rounds = tuple(_round(room, (chains, k), longest, width) for k in range(1, cap + 1))
     return _Batch(
-        code, inv, score, inv.copy(), score.copy(), np.zeros(job.size, dtype=np.int64),
-        lists, job * g, cost, np.ldexp(1.0, -ks[job]),
-        room, tuple(_round(room, lead, longest, width) for lead in leads),
+        code, inv, score, inv.copy(), score.copy(), np.zeros(chains, dtype=np.int64),
+        job * g, cost, np.ldexp(1.0, -ks[job]), store, start, length,
+        max(_PIECE_SLOTS, widest), lists, rounds,
     )
 
 
 class _Round(NamedTuple):
-    """Work arrays of a round whose rows have shape lead: (C,) at k = 1,
-    (C, k) above. Each pair holds the views for letter a's windows and
+    """Work arrays of a look-ahead round of width k, whose rows have
+    shape (C, k): row (c, i) is a copy of chain c's code row trying its
+    proposal i. Each pair holds the views for letter a's windows and
     for letter b's."""
 
-    picked: np.ndarray  # (3, 2, *lead, M): windows, place sums, counts
-    cells: np.ndarray  # the window plane, made each window's index into the rows
+    picked: np.ndarray  # (3, 2, C, k, M): windows, place sums, counts
+    cells: np.ndarray  # the window plane, made each window's index into the copies
     cell: tuple
     places: tuple
     counts: np.ndarray
-    moves: np.ndarray  # (2, 2, *lead, M): window codes after, then before
+    moves: np.ndarray  # (2, 2, C, k, M): window codes after, then before
     after: tuple
     before: tuple
     costs: np.ndarray  # the costs of moves
-    base: np.ndarray  # each row's offset into the flat rows
-    total: str  # the einsum that sums a row's cost change
-    copies: np.ndarray | None  # (C, k, code width) code rows at k > 1
+    base: np.ndarray  # each row's offset into the flat copies
+    copies: np.ndarray  # (C, k, code width) code rows
 
 
 def _round(room: np.ndarray, lead: tuple, m: int, code_width: int) -> _Round:
@@ -232,26 +267,23 @@ def _round(room: np.ndarray, lead: tuple, m: int, code_width: int) -> _Round:
     n = math.prod(shape)
     picked = room[: 3 * n].reshape(3, *shape)
     moves = room[3 * n : 5 * n].reshape(2, *shape)
-    axes = "jk"[: len(lead)]
     return _Round(
         picked, picked[0], tuple(picked[0]), tuple(picked[1]), picked[2], moves,
         tuple(moves[0]), tuple(moves[1]), room[5 * n : 7 * n].reshape(2, *shape),
         np.arange(rows).reshape(*lead, 1) * code_width,
-        f"i{axes}l,i{axes}l->{axes}",
-        room[7 * n : 7 * n + rows * code_width].reshape(*lead, code_width)
-        if len(lead) > 1 else None,
+        room[7 * n : 7 * n + rows * code_width].reshape(*lead, code_width),
     )
 
 
 def _move_and_score(target, index, shift, work: _Round, batch: _Batch):
-    """Score one proposal per row of target, a flat array of code rows,
-    given the list rows to index: move letter a's windows (x -> y) in
-    place, then letter b's (y -> x) from there. A window holding both
-    letters is moved by both, and its two cost changes add up to the
-    right total. Letter b's move is left unwritten. Returns each row's
-    cost change."""
+    """Score one proposal per row of target, the flat code-row copies of
+    a look-ahead round, given the list rows to index: move letter a's
+    windows (x -> y) in place, then letter b's (y -> x) from there. A
+    window holding both letters is moved by both, and its two cost
+    changes add up to the right total. Letter b's move is left
+    unwritten. Returns each row's cost change."""
     picked, cells, (cell_a, cell_b), (places_a, places_b), counts, moves, \
-        (after_a, after_b), (before_a, before_b), costs, base, total, _ = work
+        (after_a, after_b), (before_a, before_b), costs, base, _ = work
     # the takes use mode="clip" only because numpy buffers `out` under
     # the default mode; every index is in range
     batch.lists.take(index, axis=1, out=picked, mode="clip")
@@ -266,14 +298,43 @@ def _move_and_score(target, index, shift, work: _Round, batch: _Batch):
     batch.cost.take(moves, out=costs, mode="clip")
     gain, lost = costs
     np.subtract(gain, lost, out=gain)
-    return np.einsum(total, counts, gain)
+    return np.einsum("ijkl,ijkl->jk", counts, gain)
+
+
+def _lay_out(batch: _Batch, runs: np.ndarray, lengths: np.ndarray, shifts: np.ndarray, out):
+    """The store's slots of runs, laid end to end in out, a flat array:
+    (cells, place sums, counts), with each run's window columns moved by
+    its entry of shifts into its chain's flat code row, and the offset
+    at which each run starts."""
+    offsets = lengths.cumsum() - lengths
+    index = np.repeat(batch.start[runs] - offsets, lengths)
+    index += np.arange(index.size)
+    # mode="clip" keeps numpy from buffering out, as in _move_and_score
+    planes = batch.store.take(index, axis=1, out=out[: 3 * index.size].reshape(3, -1),
+                              mode="clip")
+    planes[0] += np.repeat(shifts, lengths)
+    return (*planes, offsets)
+
+
+def _take_moves(batch: _Batch, c, moved, image, delta) -> None:
+    """Settle the moves that chains c accept, whose window codes are
+    already written: entries moved of the flat mappings, letter a's of
+    every chain and then letter b's, take the values in image."""
+    both = np.concatenate((c, c + batch.inv.shape[0]))
+    batch.inv.reshape(-1)[moved[both]] = image[both]
+    batch.score[c] += delta[c]
+    batch.accepted[c] += 1
+    better = c[batch.score[c] < batch.best_score[c]]
+    if better.size:
+        batch.best_score[better] = batch.score[better]
+        batch.best_inv[better] = batch.inv[better]
 
 
 # At a temperature so small that delta * unit / temperature overflows, an
 # uphill move's threshold is -inf and no uniform passes it: that is the
 # exact T -> 0 limit of the acceptance probability 2**(-delta / T) for
 # delta > 0. A downhill move is accepted by delta < 0 whatever its +inf
-# threshold, and a level one's threshold is -0.0 at any T.
+# threshold, and a level one's threshold is zero at any T.
 @np.errstate(over="ignore")
 def mcmc_sweep(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature: float) -> None:
     """Advance a batch of Metropolis chains in lock-step, in place.
@@ -283,66 +344,114 @@ def mcmc_sweep(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature
     uniform. A step rescores only the windows that hold either cipher
     letter. Each chain's accepted proposals are added to its count.
 
-    The batch advances in rounds of k steps (see the module docstring).
-    k starts at its cap, the largest k with C * k <= _BATCH_CHAINS. It
-    doubles, up to the cap, after a round in which no chain accepts, and
-    halves when some chain accepts the round's first step. A round never
-    passes the last step.
+    A batch of more than _BATCH_CHAINS // 2 chains scores one step per
+    round, in place. A smaller batch advances in rounds of k steps (see
+    the module docstring). k starts at its cap, the largest k with
+    C * k <= _BATCH_CHAINS. It doubles, up to the cap, after a round in
+    which no chain accepts, and halves when some chain accepts the
+    round's first step. A round never passes the last step.
     """
-    code, inv, score, accepted = batch.code, batch.inv, batch.score, batch.accepted
-    best_inv, best_score = batch.best_inv, batch.best_score
+    (_look_ahead if batch.rounds else _one_step)(batch, pairs, log2_u, temperature)
+
+
+def _one_step(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature: float) -> None:
+    """mcmc_sweep for a batch that scores one step per round, in place.
+    A piece of whole steps is laid out at once, at most the batch's
+    budget of slots: step by step, letter a's run of every chain, then
+    letter b's. A step moves letter a's windows (x -> y) in place, then
+    letter b's (y -> x) from there, as _move_and_score does, and undoes
+    letter a's move in the chains that reject it."""
+    chains, steps = pairs.shape[1:]
+    flat = batch.code.reshape(-1)
+    inv, cost, neg_unit = batch.inv.reshape(-1), batch.cost, -batch.unit
+    g = batch.inv.shape[1]
+    held = np.arange(chains)
+    # per run of a step: its ciphertext's first run, its chain's offsets
+    # into the flat mappings and the flat code rows
+    rows, maps = np.tile(batch.row, 2), np.tile(held * g, 2)
+    shifts = np.tile(held * batch.code.shape[1], 2)
+    swap = np.roll(np.arange(2 * chains), chains)  # each run's other letter
+    tops = batch.length[pairs + batch.row[:, None]].sum(axis=(0, 1)).cumsum()
+    out = np.empty(3 * batch.budget, dtype=np.int64)
+    p = 0
+    while p < steps:
+        q = int(np.searchsorted(tops, (tops[p - 1] if p else 0) + batch.budget, side="right"))
+        letters = pairs[:, :, p:q].transpose(2, 0, 1).reshape(q - p, 2 * chains)
+        runs = letters + rows
+        lengths = batch.length[runs]
+        cells, places, counts, offsets = _lay_out(
+            batch, runs.ravel(), lengths.ravel(), np.tile(shifts, q - p), out
+        )
+        offsets = offsets.reshape(lengths.shape)
+        bounds = [*offsets[:, 0].tolist(), cells.size]
+        splits = offsets[:, chains].tolist()
+        offsets -= offsets[:, :1]
+        moved = letters + maps
+        for j, run, starts, mv, lo, split, hi in zip(
+            range(p, q), lengths, offsets, moved, bounds, splits, bounds[1:]
+        ):
+            old = inv.take(mv)  # x for letter a, y for letter b
+            new = old.take(swap)
+            moves = np.empty((2, hi - lo), dtype=np.int64)
+            after, before = moves
+            np.multiply(places[lo:hi], (new - old).repeat(run), out=after)
+            cell_a, cell_b = cells[lo:split], cells[split:hi]
+            after_a, after_b = after[: split - lo], after[split - lo :]
+            before_a, before_b = before[: split - lo], before[split - lo :]
+            flat.take(cell_a, out=before_a, mode="clip")
+            after_a += before_a
+            flat[cell_a] = after_a
+            flat.take(cell_b, out=before_b, mode="clip")
+            after_b += before_b
+            gain, lost = cost.take(moves)
+            gain -= lost
+            gain *= counts[lo:hi]
+            total = np.add.reduceat(gain, starts)
+            delta = total[:chains] + total[chains:]
+            accept = (delta < 0) | (log2_u[:, j] < delta * neg_unit / temperature)
+            # undo letter a's move where rejected
+            np.copyto(after_a, before_a, where=(~accept).repeat(run[:chains]))
+            flat[cell_a] = after_a
+            c = accept.nonzero()[0]
+            if c.size:
+                keep = accept.repeat(run[chains:])
+                flat[cell_b[keep]] = after_b[keep]
+                _take_moves(batch, c, mv, new, delta)
+        p = q
+
+
+def _look_ahead(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature: float) -> None:
+    """mcmc_sweep for a batch that looks ahead, in rounds of k steps."""
+    code, inv = batch.code, batch.inv
     steps = pairs.shape[2]
     cap = len(batch.rounds)  # k of the widest round
-    flat = code.reshape(-1)
-    rows = pairs + batch.row[:, None]  # the list rows of each proposal's letters
-    held = np.arange(code.shape[0])
+    runs = pairs + batch.row[:, None]  # the runs of each proposal's letters
+    held = np.arange(code.shape[0])[:, None]
+    maps = held.T * inv.shape[1]  # each chain's offset into the flat mappings
+    unit = batch.unit[:, None]
     k = cap
     p = 0
     while p < steps:
         width = min(k, steps - p)
         work = batch.rounds[width - 1]
-        if width == 1:
-            now = p
-            target = flat  # the rows are the chains themselves
-            ahead = held
-            unit = batch.unit
-        else:
-            now = slice(p, p + width)
-            work.copies[...] = code[:, None, :]
-            target = work.copies.reshape(-1)
-            ahead = held[:, None]
-            unit = batch.unit[:, None]
+        now = slice(p, p + width)
+        work.copies[...] = code[:, None, :]
+        target = work.copies.reshape(-1)
         a, b = pairs[:, :, now]
-        x = inv[ahead, a]
-        y = inv[ahead, b]
-        delta = _move_and_score(target, rows[:, :, now], (y - x)[..., None], work, batch)
+        x = inv[held, a]
+        y = inv[held, b]
+        delta = _move_and_score(target, runs[:, :, now], (y - x)[..., None], work, batch)
         accept = (delta < 0) | (log2_u[:, now] < -delta * unit / temperature)
-        if width == 1:
-            np.copyto(work.after[0], work.before[0], where=~accept[:, None])
-            flat[work.cell[0]] = work.after[0]  # undo letter a's move where rejected
-            first = 0
-            c = np.flatnonzero(accept)
-        else:
-            first = int(accept.any(axis=0).argmax())
-            c = np.flatnonzero(accept[:, first])
+        first = int(accept.any(axis=0).argmax())
+        c = np.flatnonzero(accept[:, first])
         if not c.size:
             p += width
             k = min(2 * k, cap)
             continue
-        if width == 1:
-            flat[work.cell[1][c]] = work.after[1][c]
-        else:
-            target[work.cell[1][c, first]] = work.after[1][c, first]
-            code[c] = work.copies[c, first]
-            a, b, x, y, delta = (v[:, first] for v in (a, b, x, y, delta))
-        inv[c, a[c]] = y[c]
-        inv[c, b[c]] = x[c]
-        score[c] += delta[c]
-        accepted[c] += 1
-        better = c[score[c] < best_score[c]]
-        if better.size:
-            best_score[better] = score[better]
-            best_inv[better] = inv[better]
+        target[work.cell[1][c, first]] = work.after[1][c, first]
+        code[c] = work.copies[c, first]
+        _take_moves(batch, c, (pairs[:, :, p + first] + maps).ravel(),
+                    np.concatenate((y[:, first], x[:, first])), delta[:, first])
         p += first + 1
         if first == 0:
             k = max(k // 2, 1)

@@ -30,7 +30,6 @@ import functools
 import json
 import math
 import os
-import secrets
 import sys
 from pathlib import Path
 
@@ -247,7 +246,8 @@ def _resolve(args: argparse.Namespace, defaults: dict, randomized: bool) -> dict
         if not ok:
             raise UsageError(f"{key.replace('_', '-')} must be {accepted}, got {value!r}")
     if randomized and cfg["seed"] is None:
-        cfg["seed"] = secrets.randbits(32)
+        # os.urandom, not secrets: secrets imports hashlib, which loads OpenSSL
+        cfg["seed"] = int.from_bytes(os.urandom(4), "big")
     return cfg
 
 

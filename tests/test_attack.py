@@ -135,7 +135,7 @@ class TestCrack:
         raw_b = rng.integers(0, 25, size=300)
         log2_u = np.log2(rng.random(size=300))
         wins, wcounts = _cipher_windows(cipher, 4, 26)
-        best, score, trace = mcmc_oracle(
+        best, score, trace, _ = mcmc_oracle(
             wins, wcounts, model.nll_flat, 26, _frequency_start(cipher, model),
             pair_a, raw_b + (raw_b >= pair_a), log2_u, 1.0, 100,
         )

@@ -506,12 +506,14 @@ class TestSpurious:
         assert row["observed_mean"] == exact
 
     def test_auto_seed_recorded(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "spurious", "--constructions", "2", "--format", "json"
-        )
+        """An unseeded run draws a 32-bit seed and records it, and a rerun
+        with that seed prints the same bytes."""
+        argv = ["spurious", "--constructions", "2", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        doc = json.loads(out)
-        assert isinstance(doc["config"]["seed"], int)
+        seed = json.loads(out)["config"]["seed"]
+        assert type(seed) is int and 0 <= seed < 2**32
+        assert run_cli(capsys, *argv, "--seed", str(seed)) == (0, out, "")
 
 
 class TestChannel:
@@ -1079,6 +1081,17 @@ def test_version_from_module():
     proc = subprocess.run([sys.executable, "-m", "unicity.cli", "--version"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "unicity 0.1.0\n", "")
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    """Importing the CLI loads no hashlib: a command that draws no key,
+    or only an unseeded run's seed, does not pay for OpenSSL."""
+    src = Path(sys.modules["unicity"].__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, unicity.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_help_unchanged_by_runs(capsys):

@@ -11,7 +11,9 @@ STATE = ("code", "inv", "score", "best_inv", "best_score", "accepted")
 
 
 def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, every):
-    """Step-by-step reference walker with plain-python accumulation."""
+    """Step-by-step reference walker with plain-python accumulation.
+    Returns the best mapping, its score, the trace of best scores at
+    every checkpoint, and the number of accepted proposals."""
 
     def score_of(inv):
         total = 0.0
@@ -26,29 +28,32 @@ def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, 
     score = score_of(inv)
     best, best_score = inv.copy(), score
     trace = [score]
+    accepted = 0
     for i in range(len(pair_a)):
         a, b = pair_a[i], pair_b[i]
         inv[a], inv[b] = inv[b], inv[a]
         new = score_of(inv)
         if new < score or log2_u[i] < (score - new) / temp:
             score = new
+            accepted += 1
             if score < best_score:
                 best_score, best = score, inv.copy()
         else:
             inv[a], inv[b] = inv[b], inv[a]
         if (i + 1) % every == 0:
             trace.append(best_score)
-    return best, best_score, np.array(trace)
+    return best, best_score, np.array(trace), accepted
 
 
-def run_batch(windows, nll_flat, g, inv0, pairs, log2_u, temp, every):
+def run_batch(windows, nll_flat, g, inv0, pairs, log2_u, temp, every, per_job=1):
     """Drive mcmc_sweep the way the attack does, one call per checkpoint
-    interval. Returns the best mappings, each chain's trace of float
-    rescored best scores, and the final batch's fields by name."""
-    batch = _start_chains(windows, inv0, nll_flat, g)
+    interval, with per_job chains on each ciphertext. Returns the best
+    mappings, each chain's trace of float rescored best scores, and the
+    final batch's fields by name."""
+    batch = _start_chains(windows, inv0, nll_flat, g, per_job)
 
     def rescore(mappings):
-        return [_score_bits(*w, nll_flat, g, v) for w, v in zip(windows, mappings)]
+        return [_score_bits(*windows[c // per_job], nll_flat, g, v) for c, v in enumerate(mappings)]
 
     trace = [rescore(batch.inv)]
     for lo in range(0, pairs.shape[2], every):
@@ -79,31 +84,71 @@ def _random_batch(seed, chains=4, g=5, order=2, iters=200):
 
 
 def count_rounds(monkeypatch) -> list[int]:
-    """Record the width k of every round mcmc_sweep scores from now on."""
+    """Record the width k of every round mcmc_sweep scores from now on:
+    each look-ahead round scores (2, C, k) list rows, and each piece a
+    one-step sweep lays out holds 2C runs, one round, per step."""
     widths = []
-    score = attack._move_and_score
+    score, lay_out = attack._move_and_score, attack._lay_out
 
-    def counted(target, index, *rest):
-        widths.append(index.shape[2] if index.ndim == 3 else 1)
+    def scored(target, index, *rest):
+        widths.append(index.shape[2])
         return score(target, index, *rest)
 
-    monkeypatch.setattr(attack, "_move_and_score", counted)
+    def laid_out(batch, runs, *rest):
+        widths.extend([1] * (runs.size // (2 * batch.code.shape[0])))
+        return lay_out(batch, runs, *rest)
+
+    monkeypatch.setattr(attack, "_move_and_score", scored)
+    monkeypatch.setattr(attack, "_lay_out", laid_out)
     return widths
 
 
-def _assert_matches_oracle(seed, order, temp=1.0, every=50, **batch):
-    windows, nll_flat, g, inv0, (pair_a, pair_b), log2_u = case = _random_batch(
-        seed, order=order, **batch
-    )
-    best, trace, state = run_batch(*case, temp, every)
-    for c, (wins, wcounts) in enumerate(windows):
-        best_or, score_or, trace_or = mcmc_oracle(
+def _assert_case_matches_oracle(case, temp, every, per_job=1):
+    """Run the batch of case and check every chain against the oracle:
+    best mapping, trace, acceptance count, and a running score and best
+    score that equal fresh integer rescores of their mappings."""
+    windows, nll_flat, g, inv0, (pair_a, pair_b), log2_u = case
+    best, trace, state = run_batch(*case, temp, every, per_job)
+    for c in range(inv0.shape[0]):
+        wins, wcounts = windows[c // per_job]
+        best_or, score_or, trace_or, accepted_or = mcmc_oracle(
             wins, wcounts, nll_flat, g, inv0[c], pair_a[c], pair_b[c], log2_u[c], temp, every
         )
         assert np.array_equal(best[c], best_or)
         assert math.isclose(trace[c, -1], score_or, rel_tol=1e-12, abs_tol=1e-9)
         assert np.allclose(trace[c], trace_or, rtol=1e-12, atol=1e-9)
+        assert state["accepted"][c] == accepted_or
+    for mapping, score in (("inv", "score"), ("best_inv", "best_score")):
+        fresh = _start_chains(windows, state[mapping], nll_flat, g, per_job)
+        assert np.array_equal(state[score], fresh.score), score
     return state
+
+
+def _assert_matches_oracle(seed, order, temp=1.0, every=50, **batch):
+    return _assert_case_matches_oracle(_random_batch(seed, order=order, **batch), temp, every)
+
+
+def _ragged_batch(seed, order, jobs, per_job, iters):
+    """per_job chains on each of the given number of ciphertexts at
+    G = 26, the second of 300 windows and the others of 2: most letters
+    of a short ciphertext have no window, so most of its runs hold their
+    lead slot only, while the long ciphertext's runs differ widely in
+    length."""
+    g = 26
+    rng = np.random.default_rng(seed)
+    nll_flat = rng.uniform(0.5, 9.0, size=g**order)
+    windows = []
+    for i in range(jobs):
+        u = 300 if i == 1 else 2
+        wins = rng.integers(0, g, size=(u, order))
+        windows.append((wins, rng.integers(1, 8, size=u).astype(np.float64)))
+    chains = jobs * per_job
+    inv0 = np.array([rng.permutation(g) for _ in range(chains)], dtype=np.int64)
+    pair_a = rng.integers(0, g, size=(chains, iters))
+    raw_b = rng.integers(0, g - 1, size=(chains, iters))
+    pairs = np.stack([pair_a, raw_b + (raw_b >= pair_a)])
+    log2_u = np.log2(rng.random(size=(chains, iters)))
+    return windows, nll_flat, g, inv0, pairs, log2_u
 
 
 class TestMcmcSweep:
@@ -185,24 +230,95 @@ class TestMcmcSweep:
                 if other != name:
                     assert np.array_equal(v, before[other]), (name, other)
 
-    @pytest.mark.parametrize("chains", [1, 6, 33, 64])
+    @pytest.mark.parametrize("chains", [1, 6, 32, 33, 64])
     def test_rounds_are_built_with_the_batch(self, chains):
-        """A batch holds the work views of every round width k = 1 to
-        its cap, the largest k with C * k <= _BATCH_CHAINS, all in its
-        one room, and its sweeps work in those views."""
+        """A batch of at most _BATCH_CHAINS // 2 chains holds the work
+        views of every round width k = 1 to its cap, the largest k with
+        C * k <= _BATCH_CHAINS, all in one room, and its sweeps work in
+        those views. A larger batch scores one step per round from its
+        store of runs, and holds no padded lists and no views."""
         windows, nll_flat, g, inv0, pairs, log2_u = _random_batch(3, chains=chains, iters=300)
         batch = _start_chains(windows, inv0, nll_flat, g)
         rounds = batch.rounds
-        assert len(rounds) == max(1, _BATCH_CHAINS // chains)
-        for k, work in enumerate(rounds, 1):
-            assert work.cells.shape[1:-1] == ((chains,) if k == 1 else (chains, k))
-            assert (work.copies is None) == (k == 1)
-            views = [work.picked, work.cells, *work.cell, *work.places, work.counts, work.moves,
-                     *work.after, *work.before, work.costs, *([work.copies] if k > 1 else [])]
-            for view in views:
-                assert np.shares_memory(view, batch.room)
-        mcmc_sweep(batch, pairs, log2_u, 1.0)
+        cap = _BATCH_CHAINS // chains
+        if cap < 2:
+            assert rounds == () and batch.lists is None and batch.store is not None
+        else:
+            assert len(rounds) == cap and batch.store is None
+            room = rounds[0].copies.base
+            for k, work in enumerate(rounds, 1):
+                assert work.cells.shape[1:-1] == (chains, k)
+                assert work.copies.shape == (chains, k, batch.code.shape[1])
+                views = [work.picked, work.cells, *work.cell, *work.places, work.counts,
+                         work.moves, *work.after, *work.before, work.costs, work.copies]
+                for view in views:
+                    assert np.shares_memory(view, room)
+        with pytest.MonkeyPatch.context() as patch:
+            widths = count_rounds(patch)
+            mcmc_sweep(batch, pairs, log2_u, 1.0)
+        assert sum(widths) >= 300 and (max(widths) == 1) == (cap < 2)
         assert all(now is then for now, then in zip(batch.rounds, rounds, strict=True))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("jobs, per_job", [(6, 6), (2, 3)], ids=["one-step", "look-ahead"])
+    def test_unequal_and_empty_runs_match_oracle(self, monkeypatch, order, jobs, per_job):
+        """Chains whose ciphertexts differ in length by 150 times, most of
+        whose runs are empty, walk as the one-step reference does, both
+        in a batch of 36 chains (one step per round) and in one of 6
+        (look-ahead rounds). Every run of the batch lists exactly its
+        ciphertext's windows that hold its letter, after one lead slot."""
+        case = _ragged_batch(11 + order, order, jobs, per_job, iters=100)
+        windows, nll_flat, g, inv0, *_ = case
+        widths = count_rounds(monkeypatch)
+        _assert_case_matches_oracle(case, 4.0, 25, per_job)
+        assert (max(widths) == 1) == (jobs * per_job > _BATCH_CHAINS // 2)
+        batch = _start_chains(windows, inv0, nll_flat, g, per_job)
+        lead = [batch.code.shape[1] - 1, 0, 0]  # the pad column, at count 0
+        for i, (wins, wcounts) in enumerate(windows):
+            for a in range(g):
+                r = i * g + a
+                if batch.store is not None:
+                    run = batch.store[:, batch.start[r] : batch.start[r] + batch.length[r]]
+                else:  # a padded row holds the windows, then copies of the lead
+                    held = batch.length[r] - 1
+                    assert np.all(batch.lists[:, r, held:].T == lead)
+                    run = np.concatenate([np.transpose([lead]), batch.lists[:, r, :held]], axis=1)
+                expected = [lead] + [
+                    [u, sum(g ** (order - 1 - j) for j in range(order) if wins[u, j] == a),
+                     wcounts[u]]
+                    for u in range(wins.shape[0]) if a in wins[u]
+                ]
+                assert run.T.tolist() == expected, (i, a)
+
+    @pytest.mark.parametrize("slots", [1, 4000])
+    def test_pieces_keep_to_their_budget(self, monkeypatch, slots):
+        """A one-step sweep lays out its steps in pieces of at most the
+        batch's budget of slots: _PIECE_SLOTS, or as many as one step can
+        take where that is more. Where the pieces are cut changes no
+        result."""
+        windows, nll_flat, g, inv0, pairs, log2_u = _ragged_batch(5, 3, 8, 5, iters=200)
+        whole = _start_chains(windows, inv0, nll_flat, g, 5)
+        mcmc_sweep(whole, pairs, log2_u, 2.0)
+        monkeypatch.setattr(attack, "_PIECE_SLOTS", slots)
+        cut = _start_chains(windows, inv0, nll_flat, g, 5)
+        widest = 2 * int(cut.length.reshape(-1, g).max(axis=1).sum()) * 5
+        assert cut.budget == max(slots, widest) < whole.budget
+        pieces = []
+        lay_out = attack._lay_out
+
+        def laid_out(batch, runs, *rest):
+            piece = lay_out(batch, runs, *rest)
+            pieces.append((runs.size // (2 * batch.code.shape[0]), piece[0].size))
+            return piece
+
+        monkeypatch.setattr(attack, "_lay_out", laid_out)
+        mcmc_sweep(cut, pairs, log2_u, 2.0)
+        assert sum(steps for steps, _ in pieces) == 200
+        assert max(size for _, size in pieces) <= cut.budget
+        most = max(steps for steps, _ in pieces)
+        assert most == 1 if slots == 1 else 1 < most and len(pieces) > 2
+        for name in STATE:
+            assert np.array_equal(getattr(cut, name), getattr(whole, name)), name
 
     def test_improving_proposal_always_accepted(self):
         # one window AA; swapping entries 0 and 1 strictly improves the

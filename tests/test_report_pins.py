@@ -64,13 +64,22 @@ ARGVS = {
                      "--restarts", "1", "--seed", "1"],
     "attack-curve": ["attack", "--corpus", CORPUS, "--lengths", "25,60", "--trials", "2",
                      "--iterations", "300", "--restarts", "1", "--seed", "1"],
+    # 36 chains: past half of _BATCH_CHAINS, so every round scores one step
+    "attack-curve-one-step": ["attack", "--corpus", CORPUS, "--lengths", "25,60,200",
+                              "--trials", "2", "--restarts", "5", "--iterations", "300",
+                              "--seed", "1"],
 }
+ARGVS["attack-curve-one-step-order3"] = [*ARGVS["attack-curve-one-step"], "--order", "3"]
 
 DIGESTS = {
     ("attack-crack", "csv"): "46ebc50d5a240dc4b72889972712ac31e62fc126c564d185d24c0264850c3688",
     ("attack-crack", "json"): "dcda650c1e4f807aad9216e3158b55381031c52a2dffa3daec7e65717ad7a657",
     ("attack-curve", "csv"): "d99def25d35401df7dd545e4fc88b781ccb149685847092892a148305eb8bd6a",
     ("attack-curve", "json"): "25a131bd0e574a64563d0929c90167fdb98de192fdb1acd5033694d591e9aa37",
+    ("attack-curve-one-step", "csv"): "a2488e49aaa0d223ed7aa3f6ab1103affec8512b06e6e05cb102a8075b6e474d",
+    ("attack-curve-one-step", "json"): "ca2e7dc5c14faadc620e6824e174292273647fe6134954e6ff11ce71aadb955e",
+    ("attack-curve-one-step-order3", "csv"): "acd709a6bc73e617d5eaf5968db6991c541b062f9db1641afbf3eb20c3972c12",
+    ("attack-curve-one-step-order3", "json"): "9a65c97c1e97bd5e15c40fc21971fef68248314649dd065b5bc618086657cde6",
     ("channel", "csv"): "5c6ad16c94a4143bffc92f126bbc30d824ce2faee945cec1cdd20bfa07558b7a",
     ("channel", "json"): "d0e4942bd0d847bcf637069de999cd21c6dc70b86e253e6d7f5d61719aa57833",
     ("corpus-stats", "csv"): "df75e9de62ed22edac6e2768ba5a643a9c9fb02a21c957e24c64fdd3c2a698f0",
