@@ -3,29 +3,30 @@
 The walker scores candidate decryptions with an n-gram model (bigram by
 default), proposes random transpositions of the current key, and keeps
 the best key seen. The chains of a crack, and of a recovery curve's
-trials in groups, advance in lock-step along a batch axis. A chain holds
+trials in groups, advance together as one batch. A chain holds
 the n-gram code of each distinct window of its decrypted ciphertext, so
 a transposition is scored from the few windows it moves (after Jakobsen
 1995), in exact fixed-point integers; the work per step follows the
 text, not the number of n-grams.
 
-The batch advances in rounds. A round scores the next k proposals of
-every chain from the chains' current states. The batch then moves to
-the first step at which any chain accepts, and only the chains that
-accept there take their move. This is the step-at-a-time walk bit for
-bit: no chain moves before that step, so every earlier proposal was
-scored from the state the walk would have had, and rejected. Once the
-chains have settled they reject almost every proposal, and one round
-covers many steps (pre-fetching, after Brockwell 2006).
+A proposal of two letters that are both absent from a chain's
+ciphertext moves no window: its cost change is 0, so it is accepted at
+any uniform below 1 and any temperature. A sweep folds these free moves
+out of each chain's proposals before it scores any: it relabels the
+chain's later proposals through the permutation the free moves compose,
+counts each as accepted, and at its end applies the permutation to the
+chain's mapping, and to its best mapping up to the step that found it.
 
-A batch of up to _BATCH_CHAINS // 2 chains looks ahead: its rounds
-score C * k rows, row (c, i) a copy of chain c's code row trying its
-proposal i, from letter window lists padded to the longest. A larger
-batch has no room to look ahead and scores one step per round, in
-place. Its chains' window lists are ragged runs, and a sweep lays out
-the runs its steps score a piece of many steps at a time, as the
-proposals are drawn before the sweep starts, so each step scores only
-real windows.
+Each chain then advances in rounds of its own. A round scores the
+chain's next k folded proposals from its current state, and the chain
+moves to the first it accepts. This is the step-at-a-time walk bit for
+bit: every earlier proposal in the round was scored from the state the
+walk would have had, and rejected. A settled chain rejects almost
+every proposal, and one round covers many of its steps (pre-fetching,
+after Brockwell 2006). k doubles after a round with no acceptance and
+halves when the round's first proposal is accepted, up to _LOOK_AHEAD.
+A round scores every row of every chain still sweeping at once, each
+from its chain's unmodified code row.
 
 Results are deterministic given the seed. Chain c of a crack seeded s draws
 its proposals from default_rng((s, c)): every first letter, then every
@@ -55,9 +56,8 @@ _SKIP = 1 << 16
 # most chains advanced as one batch: a recovery curve runs its trials in
 # groups of whole cracks, so memory does not grow with the trial count
 _BATCH_CHAINS = 64
-# most slots laid out at once by a sweep that scores one step per round,
-# unless a single step needs more
-_PIECE_SLOTS = 1 << 13
+# most proposals a chain scores in one round
+_LOOK_AHEAD = 16
 
 
 @dataclass(frozen=True)
@@ -137,22 +137,19 @@ class _Batch:
     and accepted the number of proposals it accepted. code is
     C-contiguous, as mcmc_sweep updates it through a flat view.
 
-    Run row[c] + a belongs to cipher letter a in chain c's ciphertext,
-    and chains of one ciphertext share their runs. Its slots list the
-    windows that hold a: in three planes, each window's column in the
-    code row, the sum of the place values at which it holds a, and how
-    often it occurs. Every run leads with one slot on the last column,
-    a window of count zero, so no run is empty. Costs are fixed point:
+    Run row[c] + l * g + m, for cipher letters l < m, belongs to that
+    pair of letters in chain c's ciphertext, and chains of one
+    ciphertext share their runs. It is slots start[r] to start[r] +
+    length[r] - 1 of store, one for each window that holds l or m: in
+    three planes, the window's column in the code row, how often it
+    occurs, and p_l - p_m, where p_l sums the place values at which the
+    window holds l. Transposing l and m moves the window's code by
+    (p_l - p_m) * (inv[m] - inv[l]), so a window that holds both
+    letters is moved once, by all of its change, and the run of two
+    letters absent from the ciphertext is empty. Costs are fixed point:
     chain c counts in units of unit[c] bits, and its codes are offset
-    into the block of cost that holds the model's costs in those units.
-
-    A batch of more than _BATCH_CHAINS // 2 chains scores one step per
-    round. It keeps its runs end to end in store, run r in slots
-    start[r] to start[r] + length[r] - 1, and a sweep lays out the runs
-    its steps score at most budget slots at a time. A smaller batch
-    looks ahead: row r of lists holds run r's windows, padded to the
-    longest with copies of its lead slot, and rounds holds the work
-    views, in one room, of every round width k = 1 to its cap."""
+    into the block of cost that holds the model's costs in those
+    units."""
 
     code: np.ndarray  # (C, code width) int64
     inv: np.ndarray  # (C, g) int64
@@ -163,21 +160,9 @@ class _Batch:
     row: np.ndarray  # (C,)
     cost: np.ndarray  # (scales * g**order,) int64
     unit: np.ndarray  # (C,) bits per unit, a power of two
-    store: np.ndarray | None  # (3, slots) int64, when scoring one step per round
-    start: np.ndarray  # (ciphertexts * g,)
-    length: np.ndarray  # (ciphertexts * g,) slots of each run, its lead included
-    budget: int  # most slots in a piece of a one-step sweep
-    lists: np.ndarray | None  # (3, ciphertexts * g, M) int64, when looking ahead
-    rounds: tuple  # mcmc_sweep's _Round views of room, for widths k = 1 to its cap
-
-
-def _letter_windows(wins: np.ndarray, g: int):
-    """(letter, window, place sum) for each window and each letter it
-    holds, by letter: the place sum adds the place values at which the
-    window holds the letter, the code of the window's indicator row."""
-    places = encode_rows(wins == np.arange(g)[:, None, None], g)
-    a, w = np.nonzero(places)
-    return a, w, places[a, w]
+    store: np.ndarray  # (3, slots) int32: window columns, counts, place differences
+    start: np.ndarray  # (ciphertexts * g * g,)
+    length: np.ndarray  # (ciphertexts * g * g,)
 
 
 def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_job: int = 1):
@@ -187,18 +172,19 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
     start, and no state array shares memory with another or with inv0."""
     job = np.arange(len(windows)).repeat(per_job)
     chains = job.size
-    width = 1 + max(wins.shape[0] for wins, _ in windows)  # the last column pads
-    runs = []  # each ciphertext's runs, letter by letter: (3, slots) planes and lengths
+    width = max(wins.shape[0] for wins, _ in windows)
+    lo, hi = np.triu_indices(g, 1)
+    planes, lengths = [], []
     for wins, wcounts in windows:
-        a, w, place = _letter_windows(wins, g)
-        planes = np.zeros((3, g + a.size), dtype=np.int64)
-        planes[0] = width - 1
-        # letter a's windows follow the runs of the letters before it and their leads
-        planes[:, np.arange(a.size) + a + 1] = w, place, wcounts[w]
-        runs.append((planes, np.bincount(a, minlength=g) + 1))
-    store = np.concatenate([planes for planes, _ in runs], axis=1)
-    length = np.concatenate([lengths for _, lengths in runs])
-    start = np.cumsum(length) - length
+        # the place sum of each letter in each window
+        places = encode_rows(wins == np.arange(g)[:, None, None], g)
+        pair, w = np.nonzero((places[lo] > 0) | (places[hi] > 0))
+        # int32 halves the store: every value is below the window count or g**order
+        planes.append(np.stack([w, wcounts[w], places[lo[pair], w] - places[hi[pair], w]])
+                      .astype(np.int32))
+        lengths.append(np.bincount(lo[pair] * g + hi[pair], minlength=g * g))
+    store = np.concatenate(planes, axis=1)
+    length = np.concatenate(lengths)
     # A chain counts in units of 2**-k bits, where k keeps (a bound on
     # its window count) * (largest cost) within 2**62 units. A move sums
     # cost changes over at most twice the windows, so nothing passes
@@ -217,244 +203,184 @@ def _start_chains(windows, inv0: np.ndarray, nll_flat: np.ndarray, g: int, per_j
         code[c, : wins.shape[0]] += encode_rows(inv0[c][wins], g)
         score[c] = wcounts.astype(np.int64) @ cost[code[c, : wins.shape[0]]]
     inv = np.array(inv0, dtype=np.int64)
-    # a step scores one run of each of its two letters in every chain
-    widest = 2 * int(length.reshape(-1, g).max(axis=1)[job].sum())
-    lists, rounds = None, ()
-    cap = _BATCH_CHAINS // chains
-    if cap > 1:
-        longest = int(length.max()) - 1
-        at = np.arange(longest)
-        slots = np.where(at < length[:, None] - 1, start[:, None] + 1 + at, start[:, None])
-        # take, unlike store[:, slots], returns lists C-contiguous, which
-        # each round's take from them needs to keep the crack's pace
-        lists, store = store.take(slots, axis=1), None
-        # the widest round scores k steps of every chain, with C * k <=
-        # _BATCH_CHAINS: 7 arrays of (2, C * k, M) and copies of the C * k
-        # code rows
-        room = np.empty(chains * cap * (14 * longest + width), dtype=np.int64)
-        rounds = tuple(_round(room, (chains, k), longest, width) for k in range(1, cap + 1))
     return _Batch(
         code, inv, score, inv.copy(), score.copy(), np.zeros(chains, dtype=np.int64),
-        job * g, cost, np.ldexp(1.0, -ks[job]), store, start, length,
-        max(_PIECE_SLOTS, widest), lists, rounds,
+        job * g * g, cost, np.ldexp(1.0, -ks[job]), store, np.cumsum(length) - length, length,
     )
 
 
-class _Round(NamedTuple):
-    """Work arrays of a look-ahead round of width k, whose rows have
-    shape (C, k): row (c, i) is a copy of chain c's code row trying its
-    proposal i. Each pair holds the views for letter a's windows and
-    for letter b's."""
+class _Folded(NamedTuple):
+    """A sweep's proposals with its free moves folded out: chain c's
+    count[c] proposals that move some window are entries base[c]
+    onward, in step order, each relabelled through the free moves
+    before it, lo < hi naming its letters after that. Entry [t, c] of
+    sigma composes chain c's first t free moves, so that its true
+    mapping is inv[sigma[t, c]] after them; sigma is None when the
+    sweep has no free move."""
 
-    picked: np.ndarray  # (3, 2, C, k, M): windows, place sums, counts
-    cells: np.ndarray  # the window plane, made each window's index into the copies
-    cell: tuple
-    places: tuple
-    counts: np.ndarray
-    moves: np.ndarray  # (2, 2, C, k, M): window codes after, then before
-    after: tuple
-    before: tuple
-    costs: np.ndarray  # the costs of moves
-    base: np.ndarray  # each row's offset into the flat copies
-    copies: np.ndarray  # (C, k, code width) code rows
+    count: np.ndarray  # (C,)
+    base: np.ndarray  # (C,)
+    chain: np.ndarray  # (n,)
+    log2_u: np.ndarray  # (n,)
+    unit: np.ndarray  # (n,) its chain's
+    offset: np.ndarray  # (n,) of its chain's code row in the flat code rows
+    lo: np.ndarray  # (n,) of its lower letter's entry in the flat mappings
+    hi: np.ndarray  # (n,) and of its higher letter's
+    start: np.ndarray  # (n,) of its run in store
+    length: np.ndarray  # (n,) of its run
+    before: np.ndarray  # (n,) free moves of its chain before it
+    sigma: np.ndarray | None  # (1 + most free moves, C, g)
+    moves: np.ndarray  # (C,) free moves of each chain
 
 
-def _round(room: np.ndarray, lead: tuple, m: int, code_width: int) -> _Round:
-    """The work arrays of a round whose rows have shape lead, with
-    letter lists of width m, as views of room."""
-    rows = math.prod(lead)
-    shape = (2, *lead, m)
-    n = math.prod(shape)
-    picked = room[: 3 * n].reshape(3, *shape)
-    moves = room[3 * n : 5 * n].reshape(2, *shape)
-    return _Round(
-        picked, picked[0], tuple(picked[0]), tuple(picked[1]), picked[2], moves,
-        tuple(moves[0]), tuple(moves[1]), room[5 * n : 7 * n].reshape(2, *shape),
-        np.arange(rows).reshape(*lead, 1) * code_width,
-        room[7 * n : 7 * n + rows * code_width].reshape(*lead, code_width),
+def _fold(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray) -> _Folded:
+    """Fold out a sweep's proposals of two letters absent from their
+    chain's ciphertext. Such a proposal changes no window, so its cost
+    change is 0: at a uniform below 1 it is a free move, accepted at any
+    temperature, and otherwise it is rejected and changes nothing."""
+    chains, steps = log2_u.shape
+    g = batch.inv.shape[1]
+    lo, hi = np.minimum(*pairs), np.maximum(*pairs)
+    run = lo * g
+    run += hi
+    run += batch.row[:, None]
+    empty = batch.length.take(run) == 0
+    free = empty & (log2_u < 0)
+    kept = np.flatnonzero(~empty)
+    chain = kept // steps
+    lo, hi = lo.take(kept), hi.take(kept)
+    moves = free.sum(axis=1)
+    before, sigma = np.zeros_like(kept), None
+    if moves.any():
+        before = free.cumsum(axis=1).take(kept)
+        sigma = _compose(pairs, free, moves, g)
+        at = (before * chains + chain) * g
+        lo, hi = sigma.take(at + lo), sigma.take(at + hi)
+        lo, hi = np.minimum(lo, hi, dtype=np.int64), np.maximum(lo, hi, dtype=np.int64)
+    count = steps - empty.sum(axis=1)
+    run = batch.row[chain] + lo * g + hi
+    maps = chain * g
+    return _Folded(
+        count, np.cumsum(count) - count, chain, log2_u.take(kept), batch.unit[chain],
+        chain * batch.code.shape[1], maps + lo, maps + hi, batch.start[run], batch.length[run],
+        before, sigma, moves,
     )
 
 
-def _move_and_score(target, index, shift, work: _Round, batch: _Batch):
-    """Score one proposal per row of target, the flat code-row copies of
-    a look-ahead round, given the list rows to index: move letter a's
-    windows (x -> y) in place, then letter b's (y -> x) from there. A
-    window holding both letters is moved by both, and its two cost
-    changes add up to the right total. Letter b's move is left
-    unwritten. Returns each row's cost change."""
-    picked, cells, (cell_a, cell_b), (places_a, places_b), counts, moves, \
-        (after_a, after_b), (before_a, before_b), costs, base, _ = work
-    # the takes use mode="clip" only because numpy buffers `out` under
-    # the default mode; every index is in range
-    batch.lists.take(index, axis=1, out=picked, mode="clip")
-    cells += base
-    target.take(cell_a, out=before_a, mode="clip")
-    np.multiply(places_a, shift, out=after_a)
-    after_a += before_a
-    target[cell_a] = after_a
-    target.take(cell_b, out=before_b, mode="clip")
-    np.multiply(places_b, shift, out=after_b)
-    np.subtract(before_b, after_b, out=after_b)
-    batch.cost.take(moves, out=costs, mode="clip")
-    gain, lost = costs
-    np.subtract(gain, lost, out=gain)
-    return np.einsum("ijkl,ijkl->jk", counts, gain)
+def _compose(pairs: np.ndarray, free: np.ndarray, moves: np.ndarray, g: int) -> np.ndarray:
+    """Entry [t, c] of the result: the mapping of true letters to folded
+    ones after chain c's first t free moves, free[c] marking its steps
+    that are free and moves[c] counting them."""
+    chains = free.shape[0]
+    c, j = np.nonzero(free)
+    rank = np.arange(c.size) - (np.cumsum(moves) - moves)[c]  # of each free move in its chain
+    by_rank = np.argsort(rank, kind="stable")
+    c, j = c[by_rank], j[by_rank]
+    at_a, at_b = pairs[:, c, j] + c * g  # the two letters' entries of a flat (C, g) mapping
+    sigma = np.empty((1 + int(moves.max()), chains, g), dtype=np.int16)  # g**2 costs fit in memory
+    sigma[0] = np.arange(g)
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    for t, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        now = sigma[t + 1].reshape(-1)
+        now[...] = sigma[t].reshape(-1)
+        a, b = at_a[lo:hi], at_b[lo:hi]
+        now[a], now[b] = now[b], now[a]
+    return sigma
 
 
-def _lay_out(batch: _Batch, runs: np.ndarray, lengths: np.ndarray, shifts: np.ndarray, out):
-    """The store's slots of runs, laid end to end in out, a flat array:
-    (cells, place sums, counts), with each run's window columns moved by
-    its entry of shifts into its chain's flat code row, and the offset
-    at which each run starts."""
+def _round(batch: _Batch, fold: _Folded, rows: np.ndarray, starts: np.ndarray,
+           temperature: float) -> np.ndarray:
+    """Score the folded proposals rows, each from its chain's state, and
+    move each chain to the first of its rows that it accepts. rows holds
+    the rows of one chain after another, the i-th chain's from
+    starts[i]. Returns the place of that row among the i-th chain's
+    rows, or a place past them where it accepts none."""
+    flat, inv = batch.code.reshape(-1), batch.inv.reshape(-1)
+    lengths = fold.length[rows]
     offsets = lengths.cumsum() - lengths
-    index = np.repeat(batch.start[runs] - offsets, lengths)
-    index += np.arange(index.size)
-    # mode="clip" keeps numpy from buffering out, as in _move_and_score
-    planes = batch.store.take(index, axis=1, out=out[: 3 * index.size].reshape(3, -1),
-                              mode="clip")
-    planes[0] += np.repeat(shifts, lengths)
-    return (*planes, offsets)
-
-
-def _take_moves(batch: _Batch, c, moved, image, delta) -> None:
-    """Settle the moves that chains c accept, whose window codes are
-    already written: entries moved of the flat mappings, letter a's of
-    every chain and then letter b's, take the values in image."""
-    both = np.concatenate((c, c + batch.inv.shape[0]))
-    batch.inv.reshape(-1)[moved[both]] = image[both]
-    batch.score[c] += delta[c]
-    batch.accepted[c] += 1
-    better = c[batch.score[c] < batch.best_score[c]]
-    if better.size:
-        batch.best_score[better] = batch.score[better]
-        batch.best_inv[better] = batch.inv[better]
+    slot = np.repeat(fold.start[rows] - offsets, lengths)
+    slot += np.arange(slot.size)
+    columns, counts, places = batch.store.take(slot, axis=1)
+    del slot
+    cells = np.repeat(fold.offset[rows], lengths)
+    cells += columns
+    lo, hi = inv.take(fold.lo[rows]), inv.take(fold.hi[rows])
+    move = np.repeat(hi - lo, lengths)
+    move *= places
+    before = flat.take(cells)
+    move += before  # the codes after the move
+    gain = batch.cost.take(move)
+    gain -= batch.cost.take(before)
+    gain *= counts
+    delta = np.add.reduceat(gain, offsets)
+    accept = (delta < 0) | (fold.log2_u[rows] < -delta * fold.unit[rows] / temperature)
+    first = np.minimum.reduceat(np.where(accept, np.arange(rows.size), rows.size), starts)
+    took = first[first < rows.size]
+    if took.size:
+        reach = lengths[took]
+        at = np.repeat(offsets[took] - (reach.cumsum() - reach), reach)
+        at += np.arange(at.size)
+        flat[cells[at]] = move[at]
+        picked = rows[took]
+        inv[fold.lo[picked]] = hi[took]
+        inv[fold.hi[picked]] = lo[took]
+        c = fold.chain[picked]
+        batch.score[c] += delta[took]
+        batch.accepted[c] += 1
+        better = batch.score[c] < batch.best_score[c]
+        if better.any():
+            c = c[better]
+            batch.best_score[c] = batch.score[c]
+            best = batch.inv[c]
+            if fold.sigma is not None:
+                best = np.take_along_axis(best, fold.sigma[fold.before[picked[better]], c], axis=1)
+            batch.best_inv[c] = best
+    return first - starts
 
 
 # At a temperature so small that delta * unit / temperature overflows, an
 # uphill move's threshold is -inf and no uniform passes it: that is the
 # exact T -> 0 limit of the acceptance probability 2**(-delta / T) for
 # delta > 0. A downhill move is accepted by delta < 0 whatever its +inf
-# threshold, and a level one's threshold is zero at any T.
+# threshold, and a level one's threshold is zero at any T, which is why
+# a free move can be folded out at every temperature.
 @np.errstate(over="ignore")
 def mcmc_sweep(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature: float) -> None:
-    """Advance a batch of Metropolis chains in lock-step, in place.
+    """Advance a batch of Metropolis chains through their steps, in place.
 
     Step j of chain c proposes to transpose entries (pairs[0, c, j],
     pairs[1, c, j]) of its mapping; log2_u is log2 of the acceptance
     uniform. A step rescores only the windows that hold either cipher
     letter. Each chain's accepted proposals are added to its count.
 
-    A batch of more than _BATCH_CHAINS // 2 chains scores one step per
-    round, in place. A smaller batch advances in rounds of k steps (see
-    the module docstring). k starts at its cap, the largest k with
-    C * k <= _BATCH_CHAINS. It doubles, up to the cap, after a round in
-    which no chain accepts, and halves when some chain accepts the
-    round's first step. A round never passes the last step.
+    Free moves are folded out first (see _fold), and each chain then
+    advances in rounds of its own (see the module docstring): a round
+    scores its next k folded proposals, k starting at _LOOK_AHEAD. k
+    doubles, up to _LOOK_AHEAD, after a round in which the chain accepts
+    none, and halves when it accepts the round's first. The sweep
+    returns when every chain has passed its last step, with each
+    chain's mappings true ones.
     """
-    (_look_ahead if batch.rounds else _one_step)(batch, pairs, log2_u, temperature)
-
-
-def _one_step(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature: float) -> None:
-    """mcmc_sweep for a batch that scores one step per round, in place.
-    A piece of whole steps is laid out at once, at most the batch's
-    budget of slots: step by step, letter a's run of every chain, then
-    letter b's. A step moves letter a's windows (x -> y) in place, then
-    letter b's (y -> x) from there, as _move_and_score does, and undoes
-    letter a's move in the chains that reject it."""
-    chains, steps = pairs.shape[1:]
-    flat = batch.code.reshape(-1)
-    inv, cost, neg_unit = batch.inv.reshape(-1), batch.cost, -batch.unit
-    g = batch.inv.shape[1]
-    held = np.arange(chains)
-    # per run of a step: its ciphertext's first run, its chain's offsets
-    # into the flat mappings and the flat code rows
-    rows, maps = np.tile(batch.row, 2), np.tile(held * g, 2)
-    shifts = np.tile(held * batch.code.shape[1], 2)
-    swap = np.roll(np.arange(2 * chains), chains)  # each run's other letter
-    tops = batch.length[pairs + batch.row[:, None]].sum(axis=(0, 1)).cumsum()
-    out = np.empty(3 * batch.budget, dtype=np.int64)
-    p = 0
-    while p < steps:
-        q = int(np.searchsorted(tops, (tops[p - 1] if p else 0) + batch.budget, side="right"))
-        letters = pairs[:, :, p:q].transpose(2, 0, 1).reshape(q - p, 2 * chains)
-        runs = letters + rows
-        lengths = batch.length[runs]
-        cells, places, counts, offsets = _lay_out(
-            batch, runs.ravel(), lengths.ravel(), np.tile(shifts, q - p), out
-        )
-        offsets = offsets.reshape(lengths.shape)
-        bounds = [*offsets[:, 0].tolist(), cells.size]
-        splits = offsets[:, chains].tolist()
-        offsets -= offsets[:, :1]
-        moved = letters + maps
-        for j, run, starts, mv, lo, split, hi in zip(
-            range(p, q), lengths, offsets, moved, bounds, splits, bounds[1:]
-        ):
-            old = inv.take(mv)  # x for letter a, y for letter b
-            new = old.take(swap)
-            moves = np.empty((2, hi - lo), dtype=np.int64)
-            after, before = moves
-            np.multiply(places[lo:hi], (new - old).repeat(run), out=after)
-            cell_a, cell_b = cells[lo:split], cells[split:hi]
-            after_a, after_b = after[: split - lo], after[split - lo :]
-            before_a, before_b = before[: split - lo], before[split - lo :]
-            flat.take(cell_a, out=before_a, mode="clip")
-            after_a += before_a
-            flat[cell_a] = after_a
-            flat.take(cell_b, out=before_b, mode="clip")
-            after_b += before_b
-            gain, lost = cost.take(moves)
-            gain -= lost
-            gain *= counts[lo:hi]
-            total = np.add.reduceat(gain, starts)
-            delta = total[:chains] + total[chains:]
-            accept = (delta < 0) | (log2_u[:, j] < delta * neg_unit / temperature)
-            # undo letter a's move where rejected
-            np.copyto(after_a, before_a, where=(~accept).repeat(run[:chains]))
-            flat[cell_a] = after_a
-            c = accept.nonzero()[0]
-            if c.size:
-                keep = accept.repeat(run[chains:])
-                flat[cell_b[keep]] = after_b[keep]
-                _take_moves(batch, c, mv, new, delta)
-        p = q
-
-
-def _look_ahead(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature: float) -> None:
-    """mcmc_sweep for a batch that looks ahead, in rounds of k steps."""
-    code, inv = batch.code, batch.inv
-    steps = pairs.shape[2]
-    cap = len(batch.rounds)  # k of the widest round
-    runs = pairs + batch.row[:, None]  # the runs of each proposal's letters
-    held = np.arange(code.shape[0])[:, None]
-    maps = held.T * inv.shape[1]  # each chain's offset into the flat mappings
-    unit = batch.unit[:, None]
-    k = cap
-    p = 0
-    while p < steps:
-        width = min(k, steps - p)
-        work = batch.rounds[width - 1]
-        now = slice(p, p + width)
-        work.copies[...] = code[:, None, :]
-        target = work.copies.reshape(-1)
-        a, b = pairs[:, :, now]
-        x = inv[held, a]
-        y = inv[held, b]
-        delta = _move_and_score(target, runs[:, :, now], (y - x)[..., None], work, batch)
-        accept = (delta < 0) | (log2_u[:, now] < -delta * unit / temperature)
-        first = int(accept.any(axis=0).argmax())
-        c = np.flatnonzero(accept[:, first])
-        if not c.size:
-            p += width
-            k = min(2 * k, cap)
-            continue
-        target[work.cell[1][c, first]] = work.after[1][c, first]
-        code[c] = work.copies[c, first]
-        _take_moves(batch, c, (pairs[:, :, p + first] + maps).ravel(),
-                    np.concatenate((y[:, first], x[:, first])), delta[:, first])
-        p += first + 1
-        if first == 0:
-            k = max(k // 2, 1)
+    fold = _fold(batch, pairs, log2_u)
+    live = np.flatnonzero(fold.count)
+    at, end = fold.base[live], fold.base[live] + fold.count[live]  # each live chain's next row
+    k = np.full_like(live, _LOOK_AHEAD)
+    while live.size:
+        width = np.minimum(k, end - at)
+        starts = width.cumsum() - width
+        rows = np.repeat(at - starts, width)
+        rows += np.arange(rows.size)
+        first = _round(batch, fold, rows, starts, temperature)
+        took = first < width
+        at += np.where(took, first + 1, width)
+        k = np.where(took, np.maximum(k >> (first == 0), 1), np.minimum(2 * k, _LOOK_AHEAD))
+        if (at == end).any():
+            keep = at < end
+            live, at, end, k = live[keep], at[keep], end[keep], k[keep]
+    if fold.sigma is not None:
+        ends = fold.sigma[fold.moves, np.arange(fold.moves.size)]
+        batch.inv[...] = np.take_along_axis(batch.inv, ends, axis=1)
+        batch.accepted[...] += fold.moves
 
 
 def _streams(seed: int, chain: int, g: int, iterations: int):

@@ -200,22 +200,25 @@ class TestCrack:
     def test_round_width_leaves_crack_unchanged(
         self, bigram_model, english_split, space, monkeypatch
     ):
-        """_BATCH_CHAINS caps C * k, the rows of a round. At 6 a 6-chain
-        crack takes one step per round, at 64 up to 10; the results are
-        the same, and the settled chains of the wider rounds need far
-        fewer rounds than steps."""
+        """_LOOK_AHEAD caps the proposals a chain scores in one round. At
+        1 each chain of a 6-chain crack takes one step per round, at the
+        default up to _LOOK_AHEAD; the results are the same, and the
+        settled chains of the wider rounds need far fewer rounds than
+        steps."""
         _, heldout = english_split
         key = space.sample(np.random.default_rng(12))
         cipher = encrypt(key, heldout[1000:1800])
         cfg = AttackConfig(model=bigram_model, iterations=4000, restarts=5, seed=21)
         results, rounds = [], []
-        for batch_chains in (6, 64):
-            monkeypatch.setattr(attack, "_BATCH_CHAINS", batch_chains)
+        for cap in (1, attack._LOOK_AHEAD):
+            monkeypatch.setattr(attack, "_LOOK_AHEAD", cap)
             widths = count_rounds(monkeypatch)
             results.append(mcmc_crack(cipher, cfg, key))
             rounds.append(len(widths))
+            assert max(int(w.max()) for w in widths) == cap
         narrow, wide = results
-        assert rounds[0] == cfg.iterations
+        # a proposal of two letters absent from the ciphertext takes no round
+        assert cfg.iterations * 0.9 < rounds[0] <= cfg.iterations
         assert rounds[1] < cfg.iterations / 4
         assert narrow.best_key == wide.best_key
         assert narrow.best_score_bits == wide.best_score_bits

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unicity import attack
-from unicity.attack import _BATCH_CHAINS, _BLOCK, _score_bits, _start_chains, _streams, mcmc_sweep
+from unicity.attack import _BLOCK, _LOOK_AHEAD, _score_bits, _start_chains, _streams, mcmc_sweep
 
 # the fields of a batch that hold its chains' state
 STATE = ("code", "inv", "score", "best_inv", "best_score", "accepted")
@@ -33,7 +33,10 @@ def mcmc_oracle(wins, wcounts, nll_flat, g, inv0, pair_a, pair_b, log2_u, temp, 
         a, b = pair_a[i], pair_b[i]
         inv[a], inv[b] = inv[b], inv[a]
         new = score_of(inv)
-        if new < score or log2_u[i] < (score - new) / temp:
+        # an uphill threshold that overflows is -inf: the T -> 0 limit
+        with np.errstate(over="ignore"):
+            passes = log2_u[i] < (score - new) / temp
+        if new < score or passes:
             score = new
             accepted += 1
             if score < best_score:
@@ -83,24 +86,34 @@ def _random_batch(seed, chains=4, g=5, order=2, iters=200):
     return windows, nll_flat, g, inv0, pairs, log2_u
 
 
-def count_rounds(monkeypatch) -> list[int]:
-    """Record the width k of every round mcmc_sweep scores from now on:
-    each look-ahead round scores (2, C, k) list rows, and each piece a
-    one-step sweep lays out holds 2C runs, one round, per step."""
+def count_rounds(monkeypatch) -> list[np.ndarray]:
+    """Record every round mcmc_sweep takes from now on: how many
+    proposals each chain still sweeping scores in it."""
     widths = []
-    score, lay_out = attack._move_and_score, attack._lay_out
+    score = attack._round
 
-    def scored(target, index, *rest):
-        widths.append(index.shape[2])
-        return score(target, index, *rest)
+    def scored(batch, fold, rows, starts, *rest):
+        widths.append(np.diff([*starts.tolist(), rows.size]))
+        return score(batch, fold, rows, starts, *rest)
 
-    def laid_out(batch, runs, *rest):
-        widths.extend([1] * (runs.size // (2 * batch.code.shape[0])))
-        return lay_out(batch, runs, *rest)
-
-    monkeypatch.setattr(attack, "_move_and_score", scored)
-    monkeypatch.setattr(attack, "_lay_out", laid_out)
+    monkeypatch.setattr(attack, "_round", scored)
     return widths
+
+
+def widest(widths) -> int:
+    """The most proposals any chain scored in one round."""
+    return max(int(w.max()) for w in widths)
+
+
+def free_moves(windows, pairs, log2_u, per_job=1) -> np.ndarray:
+    """Each chain's proposals of two letters absent from its ciphertext
+    that it accepts, as every uniform below 1 accepts them."""
+    out = []
+    for c in range(pairs.shape[1]):
+        held = set(np.unique(windows[c // per_job][0]).tolist())
+        out.append(sum(a not in held and b not in held and u < 0
+                       for a, b, u in zip(*pairs[:, c].tolist(), log2_u[c].tolist())))
+    return np.array(out)
 
 
 def _assert_case_matches_oracle(case, temp, every, per_job=1):
@@ -128,18 +141,17 @@ def _assert_matches_oracle(seed, order, temp=1.0, every=50, **batch):
     return _assert_case_matches_oracle(_random_batch(seed, order=order, **batch), temp, every)
 
 
-def _ragged_batch(seed, order, jobs, per_job, iters):
+def _ragged_batch(seed, order, jobs, per_job, iters, long=300):
     """per_job chains on each of the given number of ciphertexts at
-    G = 26, the second of 300 windows and the others of 2: most letters
-    of a short ciphertext have no window, so most of its runs hold their
-    lead slot only, while the long ciphertext's runs differ widely in
-    length."""
+    G = 26, the second of long windows and the others of 2: most letters
+    of a short ciphertext have no window, so most of its runs are empty,
+    while the runs of a long ciphertext differ widely in length."""
     g = 26
     rng = np.random.default_rng(seed)
     nll_flat = rng.uniform(0.5, 9.0, size=g**order)
     windows = []
     for i in range(jobs):
-        u = 300 if i == 1 else 2
+        u = long if i == 1 else 2
         wins = rng.integers(0, g, size=(u, order))
         windows.append((wins, rng.integers(1, 8, size=u).astype(np.float64)))
     chains = jobs * per_job
@@ -166,23 +178,23 @@ class TestMcmcSweep:
 
     @pytest.mark.parametrize("temp", [0.02, 30.0], ids=["rare", "frequent"])
     def test_lookahead_rounds_match_oracle(self, monkeypatch, temp):
-        """Rounds that score several steps of each chain at once walk as
-        the one-step reference does, whether the chains accept rarely
-        (cold: rounds reach the widest k, 64 // 3 = 21, and cover many
-        steps each) or often (hot: a chain accepts most steps, and most
-        rounds are one step)."""
+        """Rounds in which each chain scores several of its proposals at
+        once walk as the one-step reference does, whether the chains
+        accept rarely (cold: rounds reach the widest k, _LOOK_AHEAD, and
+        cover many steps each) or often (hot: a chain accepts most
+        steps, and most of its rounds are one step)."""
         widths = count_rounds(monkeypatch)
         steps = 3000
         state = _assert_matches_oracle(
             13, order=2, temp=temp, every=100, chains=3, g=8, iters=steps
         )
         if temp < 1:
-            assert max(widths) == 21
+            assert widest(widths) == _LOOK_AHEAD
             assert len(widths) < steps / 5
         else:
             assert state["accepted"].max() > steps / 2
             assert len(widths) > steps / 2
-        assert sum(widths) >= steps
+        assert sum(int(w.max()) for w in widths) >= steps
 
     def test_running_score_is_exact(self):
         """The fixed-point score carried through a sweep equals a fresh
@@ -197,20 +209,22 @@ class TestMcmcSweep:
             assert np.array_equal(state["score"], fresh.score)
 
     @pytest.mark.parametrize("temp", [1.0, 10.0])
-    @pytest.mark.parametrize("chains, widest", [(3, 21), (40, 1)])
-    def test_split_sweeps_equal_one_sweep(self, monkeypatch, chains, widest, temp):
+    @pytest.mark.parametrize("chains, cap", [(3, 21), (40, 1)])
+    def test_split_sweeps_equal_one_sweep(self, monkeypatch, chains, cap, temp):
         """Two sweeps over steps [0, 70) and [70, 200) leave a batch as one
-        sweep over [0, 200) does, whether its rounds reach k = 64 // 3 = 21
-        or stay at k = 1: the attack cuts its sweeps at checkpoints and
-        refills, so no result may depend on where the cuts fall. The hot
-        chains often sit above their best at the cut."""
+        sweep over [0, 200) does, whether its chains' rounds reach k = 21
+        or stay at k = 1 (_LOOK_AHEAD set to cap): the attack cuts its
+        sweeps at checkpoints and refills, so no result may depend on
+        where the cuts fall. The hot chains often sit above their best at
+        the cut."""
         windows, nll_flat, g, inv0, pairs, log2_u = _random_batch(5, chains=chains, g=8, iters=200)
+        monkeypatch.setattr(attack, "_LOOK_AHEAD", cap)
         widths = count_rounds(monkeypatch)
         whole, split = (_start_chains(windows, inv0, nll_flat, g) for _ in range(2))
         mcmc_sweep(whole, pairs, log2_u, temp)
         for cols in (slice(0, 70), slice(70, 200)):
             mcmc_sweep(split, pairs[:, :, cols], log2_u[:, cols], temp)
-        assert max(widths) == widest
+        assert widest(widths) == cap
         assert whole.accepted.min() > 0
         for name in STATE:
             assert np.array_equal(getattr(split, name), getattr(whole, name)), name
@@ -232,93 +246,85 @@ class TestMcmcSweep:
 
     @pytest.mark.parametrize("chains", [1, 6, 32, 33, 64])
     def test_rounds_are_built_with_the_batch(self, chains):
-        """A batch of at most _BATCH_CHAINS // 2 chains holds the work
-        views of every round width k = 1 to its cap, the largest k with
-        C * k <= _BATCH_CHAINS, all in one room, and its sweeps work in
-        those views. A larger batch scores one step per round from its
-        store of runs, and holds no padded lists and no views."""
+        """Every batch size takes one path. The batch holds its tables,
+        built once: a sweep reads them and leaves them unchanged, and its
+        rounds score at most _LOOK_AHEAD proposals of each chain, the
+        first round that many of every chain."""
         windows, nll_flat, g, inv0, pairs, log2_u = _random_batch(3, chains=chains, iters=300)
         batch = _start_chains(windows, inv0, nll_flat, g)
-        rounds = batch.rounds
-        cap = _BATCH_CHAINS // chains
-        if cap < 2:
-            assert rounds == () and batch.lists is None and batch.store is not None
-        else:
-            assert len(rounds) == cap and batch.store is None
-            room = rounds[0].copies.base
-            for k, work in enumerate(rounds, 1):
-                assert work.cells.shape[1:-1] == (chains, k)
-                assert work.copies.shape == (chains, k, batch.code.shape[1])
-                views = [work.picked, work.cells, *work.cell, *work.places, work.counts,
-                         work.moves, *work.after, *work.before, work.costs, work.copies]
-                for view in views:
-                    assert np.shares_memory(view, room)
+        tables = {name: getattr(batch, name) for name in ("store", "start", "length", "cost")}
+        copies = {name: table.copy() for name, table in tables.items()}
         with pytest.MonkeyPatch.context() as patch:
             widths = count_rounds(patch)
             mcmc_sweep(batch, pairs, log2_u, 1.0)
-        assert sum(widths) >= 300 and (max(widths) == 1) == (cap < 2)
-        assert all(now is then for now, then in zip(batch.rounds, rounds, strict=True))
+        assert widths[0].tolist() == [_LOOK_AHEAD] * chains
+        assert widest(widths) == _LOOK_AHEAD
+        for name, table in tables.items():
+            assert getattr(batch, name) is table and np.array_equal(table, copies[name]), name
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     @pytest.mark.parametrize("jobs, per_job", [(6, 6), (2, 3)], ids=["one-step", "look-ahead"])
     def test_unequal_and_empty_runs_match_oracle(self, monkeypatch, order, jobs, per_job):
         """Chains whose ciphertexts differ in length by 150 times, most of
         whose runs are empty, walk as the one-step reference does, both
-        in a batch of 36 chains (one step per round) and in one of 6
-        (look-ahead rounds). Every run of the batch lists exactly its
-        ciphertext's windows that hold its letter, after one lead slot."""
+        in a batch of 36 chains that score one step per round
+        (_LOOK_AHEAD set to 1) and in one of 6 whose rounds look ahead.
+        The run of each pair of letters l < m lists exactly its
+        ciphertext's windows that hold l or m, with the place sum of l
+        less that of m, and no other run lists a window."""
         case = _ragged_batch(11 + order, order, jobs, per_job, iters=100)
         windows, nll_flat, g, inv0, *_ = case
+        if jobs * per_job > 32:
+            monkeypatch.setattr(attack, "_LOOK_AHEAD", 1)
         widths = count_rounds(monkeypatch)
         _assert_case_matches_oracle(case, 4.0, 25, per_job)
-        assert (max(widths) == 1) == (jobs * per_job > _BATCH_CHAINS // 2)
+        assert (widest(widths) == 1) == (jobs * per_job > 32)
         batch = _start_chains(windows, inv0, nll_flat, g, per_job)
-        lead = [batch.code.shape[1] - 1, 0, 0]  # the pad column, at count 0
+
+        def place(window, letter):
+            return sum(g ** (order - 1 - j) for j in range(order) if window[j] == letter)
+
         for i, (wins, wcounts) in enumerate(windows):
-            for a in range(g):
-                r = i * g + a
-                if batch.store is not None:
+            for lo in range(g):
+                for hi in range(g):
+                    r = (i * g + lo) * g + hi
                     run = batch.store[:, batch.start[r] : batch.start[r] + batch.length[r]]
-                else:  # a padded row holds the windows, then copies of the lead
-                    held = batch.length[r] - 1
-                    assert np.all(batch.lists[:, r, held:].T == lead)
-                    run = np.concatenate([np.transpose([lead]), batch.lists[:, r, :held]], axis=1)
-                expected = [lead] + [
-                    [u, sum(g ** (order - 1 - j) for j in range(order) if wins[u, j] == a),
-                     wcounts[u]]
-                    for u in range(wins.shape[0]) if a in wins[u]
-                ]
-                assert run.T.tolist() == expected, (i, a)
+                    expected = [
+                        [u, wcounts[u], place(wins[u], lo) - place(wins[u], hi)]
+                        for u in range(wins.shape[0]) if lo < hi and {lo, hi} & set(wins[u])
+                    ]
+                    assert run.T.tolist() == expected, (i, lo, hi)
 
-    @pytest.mark.parametrize("slots", [1, 4000])
-    def test_pieces_keep_to_their_budget(self, monkeypatch, slots):
-        """A one-step sweep lays out its steps in pieces of at most the
-        batch's budget of slots: _PIECE_SLOTS, or as many as one step can
-        take where that is more. Where the pieces are cut changes no
-        result."""
-        windows, nll_flat, g, inv0, pairs, log2_u = _ragged_batch(5, 3, 8, 5, iters=200)
-        whole = _start_chains(windows, inv0, nll_flat, g, 5)
-        mcmc_sweep(whole, pairs, log2_u, 2.0)
-        monkeypatch.setattr(attack, "_PIECE_SLOTS", slots)
-        cut = _start_chains(windows, inv0, nll_flat, g, 5)
-        widest = 2 * int(cut.length.reshape(-1, g).max(axis=1).sum()) * 5
-        assert cut.budget == max(slots, widest) < whole.budget
-        pieces = []
-        lay_out = attack._lay_out
+    @pytest.mark.parametrize("chains", [1, 6, 36])
+    @pytest.mark.parametrize("every", [1, 7, 50])
+    def test_free_moves_match_oracle(self, chains, every):
+        """Chains whose ciphertexts lack most letters make many free
+        moves, proposals of two absent letters, which every uniform
+        accepts and which change no score. Folded out of the sweep, they
+        still count as accepted, still move the letters they name, and
+        are in the best mapping when they came before the step that
+        found it: every letter of the best mapping, the trace, each
+        acceptance count and the exact running scores match the
+        one-step reference."""
+        jobs = {1: 1, 6: 2, 36: 6}[chains]
+        case = _ragged_batch(40 + chains, 2, jobs, chains // jobs, iters=350, long=6)
+        windows, _, _, _, pairs, log2_u = case
+        free = free_moves(windows, pairs, log2_u, chains // jobs)
+        assert free.min() > 10
+        state = _assert_case_matches_oracle(case, 3.0, every, chains // jobs)
+        assert np.all(state["accepted"] > free)
 
-        def laid_out(batch, runs, *rest):
-            piece = lay_out(batch, runs, *rest)
-            pieces.append((runs.size // (2 * batch.code.shape[0]), piece[0].size))
-            return piece
-
-        monkeypatch.setattr(attack, "_lay_out", laid_out)
-        mcmc_sweep(cut, pairs, log2_u, 2.0)
-        assert sum(steps for steps, _ in pieces) == 200
-        assert max(size for _, size in pieces) <= cut.budget
-        most = max(steps for steps, _ in pieces)
-        assert most == 1 if slots == 1 else 1 < most and len(pieces) > 2
-        for name in STATE:
-            assert np.array_equal(getattr(cut, name), getattr(whole, name)), name
+    @pytest.mark.parametrize("temp", [1e-310, 1e308], ids=["cold", "hot"])
+    @pytest.mark.parametrize("chains", [1, 6, 36])
+    def test_extreme_temperatures_match_oracle(self, chains, temp):
+        """At T = 1e-310 every uphill move's threshold overflows to -inf,
+        so only level and downhill moves pass; at T = 1e308 nearly every
+        move passes. Both walk as the one-step reference does."""
+        jobs = {1: 1, 6: 2, 36: 6}[chains]
+        case = _ragged_batch(60 + chains, 2, jobs, chains // jobs, iters=120)
+        state = _assert_case_matches_oracle(case, temp, 30, chains // jobs)
+        if temp > 1:
+            assert state["accepted"].min() > 100
 
     def test_improving_proposal_always_accepted(self):
         # one window AA; swapping entries 0 and 1 strictly improves the

@@ -64,18 +64,30 @@ ARGVS = {
                      "--restarts", "1", "--seed", "1"],
     "attack-curve": ["attack", "--corpus", CORPUS, "--lengths", "25,60", "--trials", "2",
                      "--iterations", "300", "--restarts", "1", "--seed", "1"],
-    # 36 chains: past half of _BATCH_CHAINS, so every round scores one step
+    # 36 chains in one batch, on ciphertexts of 25 to 200 letters
     "attack-curve-one-step": ["attack", "--corpus", CORPUS, "--lengths", "25,60,200",
                               "--trials", "2", "--restarts", "5", "--iterations", "300",
                               "--seed", "1"],
 }
 ARGVS["attack-curve-one-step-order3"] = [*ARGVS["attack-curve-one-step"], "--order", "3"]
+# 54 chains on 12 to 50 letters: most proposals of the shortest name two
+# letters absent from their ciphertext
+ARGVS["attack-curve-free-moves"] = ["attack", "--mode", "curve", "--corpus", CORPUS,
+                                    "--lengths", "12,25,50", "--trials", "3", "--restarts", "5",
+                                    "--iterations", "400", "--seed", "4"]
+ARGVS["attack-crack-short"] = ["attack", "--mode", "crack", "--corpus", CORPUS, "--ciphertext",
+                               CIPHERTEXT[:20], "--true-key", TRUE_KEY, "--iterations", "300",
+                               "--restarts", "5", "--seed", "3"]
 
 DIGESTS = {
     ("attack-crack", "csv"): "46ebc50d5a240dc4b72889972712ac31e62fc126c564d185d24c0264850c3688",
     ("attack-crack", "json"): "dcda650c1e4f807aad9216e3158b55381031c52a2dffa3daec7e65717ad7a657",
+    ("attack-crack-short", "csv"): "501a0b0c5ff90d62d3af53452b70aae2d73406d2617449fb86391f2e8a873a6b",
+    ("attack-crack-short", "json"): "88d294e09bf8c7dcd22716180d12298e228086e21b52c30380566a1d7a34c169",
     ("attack-curve", "csv"): "d99def25d35401df7dd545e4fc88b781ccb149685847092892a148305eb8bd6a",
     ("attack-curve", "json"): "25a131bd0e574a64563d0929c90167fdb98de192fdb1acd5033694d591e9aa37",
+    ("attack-curve-free-moves", "csv"): "68622e128f7209362e0d7fbd916b1429b67c0511f7c0881f9e90342d7a6ecab5",
+    ("attack-curve-free-moves", "json"): "a8850ae91fdfdf5be86911ef478dacf0869e824a0024f85fd6f849962d3333df",
     ("attack-curve-one-step", "csv"): "a2488e49aaa0d223ed7aa3f6ab1103affec8512b06e6e05cb102a8075b6e474d",
     ("attack-curve-one-step", "json"): "ca2e7dc5c14faadc620e6824e174292273647fe6134954e6ff11ce71aadb955e",
     ("attack-curve-one-step-order3", "csv"): "acd709a6bc73e617d5eaf5968db6991c541b062f9db1641afbf3eb20c3972c12",
