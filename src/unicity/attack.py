@@ -18,15 +18,14 @@ counts each as accepted, and at its end applies the permutation to the
 chain's mapping, and to its best mapping up to the step that found it.
 
 Each chain then advances in rounds of its own. A round scores the
-chain's next k folded proposals from its current state, and the chain
-moves to the first it accepts. This is the step-at-a-time walk bit for
-bit: every earlier proposal in the round was scored from the state the
-walk would have had, and rejected. A settled chain rejects almost
-every proposal, and one round covers many of its steps (pre-fetching,
-after Brockwell 2006). k doubles after a round with no acceptance and
-halves when the round's first proposal is accepted, up to _LOOK_AHEAD.
-A round scores every row of every chain still sweeping at once, each
-from its chain's unmodified code row.
+chain's next _LOOK_AHEAD folded proposals (fewer at the sweep's end)
+from its current state, and the chain moves to the first it accepts.
+This is the step-at-a-time walk bit for bit, at any width: every
+earlier proposal in the round was scored from the state the walk would
+have had, and rejected. A settled chain rejects almost every proposal,
+and one round covers many of its steps (pre-fetching, after Brockwell
+2006). A round scores every row of every chain still sweeping at once,
+each from its chain's unmodified code row.
 
 Results are deterministic given the seed. Chain c of a crack seeded s draws
 its proposals from default_rng((s, c)): every first letter, then every
@@ -56,7 +55,7 @@ _SKIP = 1 << 16
 # most chains advanced as one batch: a recovery curve runs its trials in
 # groups of whole cracks, so memory does not grow with the trial count
 _BATCH_CHAINS = 64
-# most proposals a chain scores in one round
+# proposals a chain scores in one round, but for its last of a sweep
 _LOOK_AHEAD = 16
 
 
@@ -78,7 +77,7 @@ class AttackConfig:
             raise UsageError(f"iterations must be >= 1, got {self.iterations}")
         if self.restarts < 0:
             raise UsageError(f"restarts must be nonnegative, got {self.restarts}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:  # refuses NaN, which compares false
             raise UsageError(f"temperature must be positive, got {self.temperature}")
         if self.checkpoint_interval < 1:
             raise UsageError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
@@ -215,8 +214,8 @@ class _Folded(NamedTuple):
     onward, in step order, each relabelled through the free moves
     before it, lo < hi naming its letters after that. Entry [t, c] of
     sigma composes chain c's first t free moves, so that its true
-    mapping is inv[sigma[t, c]] after them; sigma is None when the
-    sweep has no free move."""
+    mapping is inv[sigma[t, c]] after them; a sweep with no free move
+    has the identity alone."""
 
     count: np.ndarray  # (C,)
     base: np.ndarray  # (C,)
@@ -229,7 +228,7 @@ class _Folded(NamedTuple):
     start: np.ndarray  # (n,) of its run in store
     length: np.ndarray  # (n,) of its run
     before: np.ndarray  # (n,) free moves of its chain before it
-    sigma: np.ndarray | None  # (1 + most free moves, C, g)
+    sigma: np.ndarray  # (1 + most free moves, C, g)
     moves: np.ndarray  # (C,) free moves of each chain
 
 
@@ -250,13 +249,12 @@ def _fold(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray) -> _Folded:
     chain = kept // steps
     lo, hi = lo.take(kept), hi.take(kept)
     moves = free.sum(axis=1)
-    before, sigma = np.zeros_like(kept), None
-    if moves.any():
-        before = free.cumsum(axis=1).take(kept)
-        sigma = _compose(pairs, free, moves, g)
-        at = (before * chains + chain) * g
-        lo, hi = sigma.take(at + lo), sigma.take(at + hi)
-        lo, hi = np.minimum(lo, hi, dtype=np.int64), np.maximum(lo, hi, dtype=np.int64)
+    ranks = free.cumsum(axis=1)
+    sigma = _compose(pairs, free, ranks, moves, g)
+    before = ranks.take(kept)
+    at = (before * chains + chain) * g
+    lo, hi = sigma.take(at + lo), sigma.take(at + hi)
+    lo, hi = np.minimum(lo, hi, dtype=np.int64), np.maximum(lo, hi, dtype=np.int64)
     count = steps - empty.sum(axis=1)
     run = batch.row[chain] + lo * g + hi
     maps = chain * g
@@ -267,13 +265,15 @@ def _fold(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray) -> _Folded:
     )
 
 
-def _compose(pairs: np.ndarray, free: np.ndarray, moves: np.ndarray, g: int) -> np.ndarray:
+def _compose(pairs: np.ndarray, free: np.ndarray, ranks: np.ndarray, moves: np.ndarray,
+             g: int) -> np.ndarray:
     """Entry [t, c] of the result: the mapping of true letters to folded
     ones after chain c's first t free moves, free[c] marking its steps
-    that are free and moves[c] counting them."""
+    that are free, ranks[c] counting its free moves up to each step and
+    moves[c] in all."""
     chains = free.shape[0]
     c, j = np.nonzero(free)
-    rank = np.arange(c.size) - (np.cumsum(moves) - moves)[c]  # of each free move in its chain
+    rank = ranks[c, j] - 1  # of each free move in its chain
     by_rank = np.argsort(rank, kind="stable")
     c, j = c[by_rank], j[by_rank]
     at_a, at_b = pairs[:, c, j] + c * g  # the two letters' entries of a flat (C, g) mapping
@@ -331,10 +331,8 @@ def _round(batch: _Batch, fold: _Folded, rows: np.ndarray, starts: np.ndarray,
         if better.any():
             c = c[better]
             batch.best_score[c] = batch.score[c]
-            best = batch.inv[c]
-            if fold.sigma is not None:
-                best = np.take_along_axis(best, fold.sigma[fold.before[picked[better]], c], axis=1)
-            batch.best_inv[c] = best
+            batch.best_inv[c] = np.take_along_axis(
+                batch.inv[c], fold.sigma[fold.before[picked[better]], c], axis=1)
     return first - starts
 
 
@@ -355,32 +353,25 @@ def mcmc_sweep(batch: _Batch, pairs: np.ndarray, log2_u: np.ndarray, temperature
 
     Free moves are folded out first (see _fold), and each chain then
     advances in rounds of its own (see the module docstring): a round
-    scores its next k folded proposals, k starting at _LOOK_AHEAD. k
-    doubles, up to _LOOK_AHEAD, after a round in which the chain accepts
-    none, and halves when it accepts the round's first. The sweep
-    returns when every chain has passed its last step, with each
-    chain's mappings true ones.
+    scores its next _LOOK_AHEAD folded proposals, or those it has left
+    if fewer. The sweep returns when every chain has passed its last
+    step, with each chain's mappings true ones.
     """
     fold = _fold(batch, pairs, log2_u)
-    live = np.flatnonzero(fold.count)
-    at, end = fold.base[live], fold.base[live] + fold.count[live]  # each live chain's next row
-    k = np.full_like(live, _LOOK_AHEAD)
-    while live.size:
-        width = np.minimum(k, end - at)
+    live = fold.count > 0
+    at, end = fold.base[live], (fold.base + fold.count)[live]  # each live chain's next row
+    while at.size:
+        width = np.minimum(end - at, _LOOK_AHEAD)
         starts = width.cumsum() - width
         rows = np.repeat(at - starts, width)
         rows += np.arange(rows.size)
-        first = _round(batch, fold, rows, starts, temperature)
-        took = first < width
-        at += np.where(took, first + 1, width)
-        k = np.where(took, np.maximum(k >> (first == 0), 1), np.minimum(2 * k, _LOOK_AHEAD))
+        at += np.minimum(_round(batch, fold, rows, starts, temperature) + 1, width)
         if (at == end).any():
             keep = at < end
-            live, at, end, k = live[keep], at[keep], end[keep], k[keep]
-    if fold.sigma is not None:
-        ends = fold.sigma[fold.moves, np.arange(fold.moves.size)]
-        batch.inv[...] = np.take_along_axis(batch.inv, ends, axis=1)
-        batch.accepted[...] += fold.moves
+            at, end = at[keep], end[keep]
+    ends = fold.sigma[fold.moves, np.arange(fold.moves.size)]
+    batch.inv[...] = np.take_along_axis(batch.inv, ends, axis=1)
+    batch.accepted[...] += fold.moves
 
 
 def _streams(seed: int, chain: int, g: int, iterations: int):

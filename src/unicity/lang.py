@@ -55,7 +55,7 @@ class Alphabet:
     def first_n(cls, n: int) -> "Alphabet":
         """First n uppercase letters (n <= 26)."""
         if not 1 <= n <= 26:
-            raise ValueError("first_n supports 1..26 symbols")
+            raise UsageError("first_n supports 1..26 symbols")
         return cls(tuple(string.ascii_uppercase[:n]))
 
     @property

@@ -324,6 +324,7 @@ ONE_LETTER = NGramModel(Alphabet.first_n(1), 2, 0.5, np.ones((1, 1), dtype=np.in
         (lambda m, _: AttackConfig(model=m, iterations=0), "iterations must be >= 1, got 0"),
         (lambda m, _: AttackConfig(model=m, restarts=-1), "restarts must be nonnegative, got -1"),
         (lambda m, _: AttackConfig(model=m, temperature=0.0), "positive, got 0.0"),
+        (lambda m, _: AttackConfig(model=m, temperature=math.nan), "positive, got nan"),
         (lambda m, _: AttackConfig(model=m, checkpoint_interval=0), "interval must be >= 1"),
         (lambda m, c: recovery_curve([], 1, AttackConfig(model=m), c, None), "nonempty"),
         (lambda m, c: recovery_curve([30, 30], 1, AttackConfig(model=m), c, None),
@@ -333,7 +334,7 @@ ONE_LETTER = NGramModel(Alphabet.first_n(1), 2, 0.5, np.ones((1, 1), dtype=np.in
          "at least the model order 2, got 1"),
     ],
     ids=["config-order-1", "config-one-letter", "config-iterations-0", "config-restarts-negative",
-         "config-temperature-0", "config-interval-0", "curve-no-lengths",
+         "config-temperature-0", "config-temperature-nan", "config-interval-0", "curve-no-lengths",
          "curve-repeated-length", "curve-trials-0", "curve-below-order-and-too-long"],
 )
 def test_usage_errors(bigram_model, english_split, build, match):

@@ -86,14 +86,19 @@ def _random_batch(seed, chains=4, g=5, order=2, iters=200):
     return windows, nll_flat, g, inv0, pairs, log2_u
 
 
-def count_rounds(monkeypatch) -> list[np.ndarray]:
+def count_rounds(monkeypatch, held=None) -> list[np.ndarray]:
     """Record every round mcmc_sweep takes from now on: how many
-    proposals each chain still sweeping scores in it."""
+    proposals each chain still sweeping scores in it. When a list held
+    is given, also append to it, per round, each of those chains and the
+    folded proposals it has left at the round's start."""
     widths = []
     score = attack._round
 
     def scored(batch, fold, rows, starts, *rest):
         widths.append(np.diff([*starts.tolist(), rows.size]))
+        if held is not None:
+            c = fold.chain[rows[starts]]
+            held.append((c, fold.base[c] + fold.count[c] - rows[starts]))
         return score(batch, fold, rows, starts, *rest)
 
     monkeypatch.setattr(attack, "_round", scored)
@@ -180,9 +185,9 @@ class TestMcmcSweep:
     def test_lookahead_rounds_match_oracle(self, monkeypatch, temp):
         """Rounds in which each chain scores several of its proposals at
         once walk as the one-step reference does, whether the chains
-        accept rarely (cold: rounds reach the widest k, _LOOK_AHEAD, and
-        cover many steps each) or often (hot: a chain accepts most
-        steps, and most of its rounds are one step)."""
+        accept rarely (cold: rounds of _LOOK_AHEAD proposals cover many
+        steps each) or often (hot: a chain accepts most steps, and most
+        of its rounds advance it one step)."""
         widths = count_rounds(monkeypatch)
         steps = 3000
         state = _assert_matches_oracle(
@@ -212,8 +217,8 @@ class TestMcmcSweep:
     @pytest.mark.parametrize("chains, cap", [(3, 21), (40, 1)])
     def test_split_sweeps_equal_one_sweep(self, monkeypatch, chains, cap, temp):
         """Two sweeps over steps [0, 70) and [70, 200) leave a batch as one
-        sweep over [0, 200) does, whether its chains' rounds reach k = 21
-        or stay at k = 1 (_LOOK_AHEAD set to cap): the attack cuts its
+        sweep over [0, 200) does, whether its chains' rounds score 21
+        proposals or one (_LOOK_AHEAD set to cap): the attack cuts its
         sweeps at checkpoints and refills, so no result may depend on
         where the cuts fall. The hot chains often sit above their best at
         the cut."""
@@ -247,18 +252,27 @@ class TestMcmcSweep:
     @pytest.mark.parametrize("chains", [1, 6, 32, 33, 64])
     def test_rounds_are_built_with_the_batch(self, chains):
         """Every batch size takes one path. The batch holds its tables,
-        built once: a sweep reads them and leaves them unchanged, and its
-        rounds score at most _LOOK_AHEAD proposals of each chain, the
-        first round that many of every chain."""
+        built once: a sweep reads them and leaves them unchanged, and
+        every round scores _LOOK_AHEAD proposals of each chain it holds,
+        or all that chain has left when fewer are. A chain is in every
+        round until it has passed its last proposal."""
         windows, nll_flat, g, inv0, pairs, log2_u = _random_batch(3, chains=chains, iters=300)
         batch = _start_chains(windows, inv0, nll_flat, g)
         tables = {name: getattr(batch, name) for name in ("store", "start", "length", "cost")}
         copies = {name: table.copy() for name, table in tables.items()}
+        held = []
         with pytest.MonkeyPatch.context() as patch:
-            widths = count_rounds(patch)
+            widths = count_rounds(patch, held)
             mcmc_sweep(batch, pairs, log2_u, 1.0)
         assert widths[0].tolist() == [_LOOK_AHEAD] * chains
         assert widest(widths) == _LOOK_AHEAD
+        last = {}
+        for r, (chain, _) in enumerate(held):
+            last.update(dict.fromkeys(chain.tolist(), r))
+        assert sorted(last) == list(range(chains))
+        for r, (width, (chain, left)) in enumerate(zip(widths, held)):
+            assert chain.tolist() == [c for c in range(chains) if last[c] >= r]
+            assert np.array_equal(width, np.minimum(left, _LOOK_AHEAD))
         for name, table in tables.items():
             assert getattr(batch, name) is table and np.array_equal(table, copies[name]), name
 
@@ -337,6 +351,23 @@ class TestMcmcSweep:
         )
         assert trace[0, -1] == 1.0  # swap accepted despite impossible uniform
         assert np.array_equal(best[0], [1, 0])
+
+    @pytest.mark.parametrize("log2_u, accepted", [(math.inf, 0), (-1.0, 1)])
+    def test_free_move_needs_a_uniform_below_one(self, log2_u, accepted):
+        """A proposal of two letters absent from the ciphertext changes
+        no score, so like any level move it is accepted and counted at a
+        uniform below 1 (log2 u = -1), and at log2 u = +inf it is
+        rejected: the mapping stays and nothing is counted."""
+        windows = [(np.array([[0, 0]], dtype=np.int64), np.array([1.0]))]
+        nll_flat = np.arange(16.0)
+        inv0 = np.array([[0, 1, 2, 3]], dtype=np.int64)
+        best, trace, state = run_batch(
+            windows, nll_flat, 4, inv0, np.array([[[2]], [[3]]]), np.array([[log2_u]]), 1.0, 1,
+        )
+        assert state["accepted"].tolist() == [accepted]
+        assert state["inv"][0].tolist() == ([0, 1, 3, 2] if accepted else [0, 1, 2, 3])
+        assert np.array_equal(best[0], inv0[0])
+        assert trace[0].tolist() == [0.0, 0.0]
 
     def test_worsening_proposal_needs_luck(self):
         windows = [(np.array([[0, 0]], dtype=np.int64), np.array([1.0]))]

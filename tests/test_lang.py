@@ -78,9 +78,12 @@ def test_validation(build, match):
         (lambda: Alphabet(()), "at least one symbol"),
         (lambda: Alphabet(("A", "A")), "distinct"),
         (lambda: Alphabet(("AB",)), "single characters"),
+        (lambda: Alphabet.first_n(0), "1..26"),
+        (lambda: Alphabet.first_n(27), "1..26"),
         (lambda: NGramModel(G4, 1, 1e-320, np.array([[10**6, 0, 0, 0]]), 10**6), "rounds"),
     ],
-    ids=["alphabet-empty", "alphabet-repeated", "alphabet-two-chars", "alpha-underflows"],
+    ids=["alphabet-empty", "alphabet-repeated", "alphabet-two-chars", "first-n-0", "first-n-27",
+         "alpha-underflows"],
 )
 def test_usage_errors(build, match):
     """The checks of an argument the caller chose raise UsageError, a
