@@ -48,15 +48,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cipher import KeySpace, SubstitutionKey, decrypt, encrypt
 from .lang import NGramModel, UsageError, check_codes, decode_codes, encode_rows
 
-# proposals drawn per chain and stream in one refill
-_BLOCK = 200
-# most draws per call when a generator skips a stream, bounding its memory
-_SKIP = 1 << 16
+# most draws in one generator call: a refill of a chain's stream, or a piece of a skip
+_BLOCK = 1600
 # most chains advanced as one batch: a recovery curve runs its trials in
 # groups of whole cracks, so memory does not grow with the trial count
 _BATCH_CHAINS = 64
 # proposals a chain scores in one round, but for its last of a sweep
 _LOOK_AHEAD = 16
+
+
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,11 @@ class AttackConfig:
             raise UsageError(f"attack scoring needs order >= 2, got {self.model.order}")
         if self.model.alphabet.size < 2:
             raise UsageError("attack needs at least 2 letters to propose transpositions")
+        for name in ("iterations", "restarts", "checkpoint_interval"):
+            if not _is_integer(getattr(self, name)):
+                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.iterations < 1:
             raise UsageError(f"iterations must be >= 1, got {self.iterations}")
         if self.restarts < 0:
@@ -379,12 +387,12 @@ def _streams(seed: int, chain: int, g: int, iterations: int):
     three whole calls on default_rng((seed, chain)) would draw: first
     letters, raw second letters, acceptance uniforms. Draws do not
     depend on how a stream is split into calls, so the second and third
-    generators skip the stream before their own in pieces."""
+    generators skip the stream before their own in pieces of _BLOCK."""
     gen_a, gen_b, gen_u = (np.random.default_rng((seed, chain)) for _ in range(3))
     for gen, high in ((gen_b, g), (gen_u, g - 1)):
         gen.bit_generator.state = gen_b.bit_generator.state
-        for start in range(0, iterations, _SKIP):
-            gen.integers(0, high, size=min(_SKIP, iterations - start))
+        for start in range(0, iterations, _BLOCK):
+            gen.integers(0, high, size=min(_BLOCK, iterations - start))
     return gen_a, gen_b, gen_u
 
 
@@ -501,8 +509,12 @@ def recovery_curve(
     lengths = list(lengths)
     if not lengths:
         raise UsageError("lengths must be nonempty")
+    if not all(map(_is_integer, lengths)):
+        raise UsageError(f"lengths must be integers, got {lengths}")
     if len(set(lengths)) < len(lengths):
         raise UsageError(f"lengths must be distinct, got {lengths}")
+    if not _is_integer(trials_per_length):
+        raise UsageError(f"trials_per_length must be an integer, got {trials_per_length!r}")
     if trials_per_length < 1:
         raise UsageError(f"trials_per_length must be >= 1, got {trials_per_length}")
     if min(lengths) < config.model.order:

@@ -30,10 +30,6 @@ class UsageError(ValueError):
     and 1 on any other ValueError."""
 
 
-class SmoothingError(UsageError):
-    """Raised when a smoothing alpha leaves some probability at 0."""
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered set of distinct single-character symbols."""
@@ -136,7 +132,7 @@ class NGramModel:
             raise ValueError("counts must be nonnegative")
         self.counts.flags.writeable = False
         if not (self.conditional_probs > 0).all():  # the cost of a 0 is infinite
-            raise SmoothingError(f"smoothing alpha {self.alpha!r} rounds some probability to 0")
+            raise UsageError(f"smoothing alpha {self.alpha!r} rounds some probability to 0")
 
     @cached_property
     def context_totals(self) -> np.ndarray:

@@ -228,29 +228,36 @@ class TestCrack:
         assert narrow.acceptance_rates == wide.acceptance_rates
         assert narrow.best_restart == wide.best_restart
 
-    def test_checkpoint_cuts_leave_walk_unchanged(self, bigram_model, english_split, space):
+    def test_checkpoint_cuts_leave_walk_unchanged(self, bigram_model, english_split, space,
+                                                  monkeypatch):
         """A sweep is cut at every checkpoint, inside a refill of _BLOCK
-        proposals or at its end, and the cuts do not change the walk:
-        7 and 333 do not divide _BLOCK, and 5,000 passes the last step.
-        The trace at interval 7 holds the trace at 21 in every third
-        checkpoint."""
+        proposals or at its end, and neither the cuts nor the refill size
+        change the walk: 7 and 333 do not divide _BLOCK, and 5,000 passes
+        the last step, at refills of 7, 200 and the default. Each
+        interval's trace is the same at every refill size, and the trace
+        at interval 7 holds the trace at 21 in every third checkpoint."""
         _, heldout = english_split
         key = space.sample(np.random.default_rng(31))
         cipher = encrypt(key, heldout[2000:2400])
         iters = 2100
         runs = {}
-        for every in (7, 21, 333, 5000):
-            cfg = AttackConfig(model=bigram_model, iterations=iters, restarts=3, seed=17,
-                               checkpoint_interval=every)
-            res = mcmc_crack(cipher, cfg, key)
-            runs[every] = res, res.score_trace.reshape(4, 1 + math.ceil(iters / every))
-        first, _ = runs[7]
+        default = attack._BLOCK
+        for block in (7, 200, default):
+            monkeypatch.setattr(attack, "_BLOCK", block)
+            for every in (7, 21, 333, 5000):
+                cfg = AttackConfig(model=bigram_model, iterations=iters, restarts=3, seed=17,
+                                   checkpoint_interval=every)
+                res = mcmc_crack(cipher, cfg, key)
+                runs[block, every] = res, res.score_trace.reshape(4, 1 + math.ceil(iters / every))
+        first, _ = runs[default, 7]
         for res, _ in runs.values():
             assert res.best_key == first.best_key
             assert res.best_score_bits == first.best_score_bits
             assert res.acceptance_rates == first.acceptance_rates
             assert res.best_restart == first.best_restart
-        assert np.array_equal(runs[7][1][:, ::3], runs[21][1])
+        for block, every in runs:
+            assert np.array_equal(runs[block, every][1], runs[default, every][1])
+        assert np.array_equal(runs[default, 7][1][:, ::3], runs[default, 21][1])
 
     def test_too_short_ciphertext(self, bigram_model):
         cfg = AttackConfig(model=bigram_model, iterations=10, restarts=0, seed=0)
@@ -326,16 +333,30 @@ ONE_LETTER = NGramModel(Alphabet.first_n(1), 2, 0.5, np.ones((1, 1), dtype=np.in
         (lambda m, _: AttackConfig(model=m, temperature=0.0), "positive, got 0.0"),
         (lambda m, _: AttackConfig(model=m, temperature=math.nan), "positive, got nan"),
         (lambda m, _: AttackConfig(model=m, checkpoint_interval=0), "interval must be >= 1"),
+        (lambda m, _: AttackConfig(model=m, iterations=2e4),
+         "iterations must be an integer, got 20000.0"),
+        (lambda m, _: AttackConfig(model=m, restarts=1.0), "restarts must be an integer, got 1.0"),
+        (lambda m, _: AttackConfig(model=m, checkpoint_interval=10.0),
+         "checkpoint_interval must be an integer, got 10.0"),
+        (lambda m, _: AttackConfig(model=m, seed=-1), "seed must be a nonnegative integer, got -1"),
+        (lambda m, _: AttackConfig(model=m, seed=1.5), "nonnegative integer, got 1.5"),
         (lambda m, c: recovery_curve([], 1, AttackConfig(model=m), c, None), "nonempty"),
         (lambda m, c: recovery_curve([30, 30], 1, AttackConfig(model=m), c, None),
          r"distinct, got \[30, 30\]"),
         (lambda m, c: recovery_curve([30], 0, AttackConfig(model=m), c, None), "got 0"),
+        (lambda m, c: recovery_curve([30], 2.0, AttackConfig(model=m), c, None),
+         "trials_per_length must be an integer, got 2.0"),
+        (lambda m, c: recovery_curve([30, 60.0], 1, AttackConfig(model=m), c, None),
+         r"lengths must be integers, got \[30, 60.0\]"),
         (lambda m, c: recovery_curve([1, 99999], 1, AttackConfig(model=m), c, None),
          "at least the model order 2, got 1"),
     ],
     ids=["config-order-1", "config-one-letter", "config-iterations-0", "config-restarts-negative",
-         "config-temperature-0", "config-temperature-nan", "config-interval-0", "curve-no-lengths",
-         "curve-repeated-length", "curve-trials-0", "curve-below-order-and-too-long"],
+         "config-temperature-0", "config-temperature-nan", "config-interval-0",
+         "config-iterations-float", "config-restarts-float", "config-interval-float",
+         "config-seed-negative", "config-seed-float", "curve-no-lengths", "curve-repeated-length",
+         "curve-trials-0", "curve-trials-float", "curve-length-float",
+         "curve-below-order-and-too-long"],
 )
 def test_usage_errors(bigram_model, english_split, build, match):
     """Each refused argument raises UsageError, a ValueError, and a

@@ -406,8 +406,8 @@ def test_block_streams_equal_whole_draws(g, sizes, monkeypatch):
     default_rng((seed, chain)): first letters, raw second letters, then
     acceptance uniforms. The pieces cross multiples of _BLOCK, so the
     draws must not depend on how they are split into calls, and the
-    skips past the earlier streams take several calls of _SKIP draws."""
-    monkeypatch.setattr(attack, "_SKIP", 97)
+    skips past the earlier streams take several calls of _BLOCK draws."""
+    monkeypatch.setattr(attack, "_BLOCK", 97)
     iterations = sum(sizes)
     rng = np.random.default_rng((11, 4))
     pair_a = rng.integers(0, g, size=iterations)
